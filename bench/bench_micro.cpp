@@ -6,6 +6,7 @@
 #include "lang/interp.hpp"
 #include "sched/lock_table.hpp"
 #include "solver/solver.hpp"
+#include "store/snapshot.hpp"
 #include "store/store.hpp"
 #include "sym/symexec.hpp"
 #include "workloads/tpcc.hpp"
@@ -61,6 +62,35 @@ void BM_StorePut(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_StorePut);
+
+/// A store of `rows` eight-field rows over four tables.
+void fill_rows(store::VersionedStore& s, std::int64_t rows) {
+  for (std::int64_t i = 0; i < rows; ++i) {
+    store::Row r;
+    for (FieldId f = 0; f < 8; ++f) r.set(f, i * 131 + f);
+    s.put({static_cast<TableId>(i % 4), static_cast<Key>(i)}, std::move(r),
+          0);
+  }
+}
+
+// The latest-state hash reads one accumulator per shard: flat in the rows.
+void BM_StateHash(benchmark::State& state) {
+  store::VersionedStore s;
+  fill_rows(s, state.range(0));
+  for (auto _ : state) benchmark::DoNotOptimize(s.state_hash());
+}
+BENCHMARK(BM_StateHash)->Arg(10000)->Arg(40000)->Arg(160000);
+
+void BM_SerializeVisible(benchmark::State& state) {
+  store::VersionedStore s;
+  fill_rows(s, state.range(0));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(store::serialize_visible(s));
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_SerializeVisible)->Arg(10000)->Arg(40000)->Arg(160000)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_SolverFeasibility(benchmark::State& state) {
   expr::ExprPool pool;

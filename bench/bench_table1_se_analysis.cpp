@@ -36,13 +36,14 @@ void profile_row(Table& table, const RowInput& in) {
 
   const auto& m = optimized->metrics();
   const auto& mu = unoptimized->metrics();
-  const std::string total_states =
-      unoptimized->complete()
-          ? std::to_string(mu.states_explored)
-          : ">" + std::to_string(mu.states_explored) + " (capped; est " +
-                prog::benchutil::fmt_si(
-                    static_cast<double>(m.states_total_est)) +
-                ")";
+  std::string total_states = std::to_string(mu.states_explored);
+  if (!unoptimized->complete()) {
+    total_states.insert(0, 1, '>');
+    total_states += " (capped; est " +
+                    prog::benchutil::fmt_si(
+                        static_cast<double>(m.states_total_est)) +
+                    ")";
+  }
   table.row({
       in.name,
       std::to_string(m.states_explored) + " / " + total_states,

@@ -334,7 +334,9 @@ void ReplicatedDb::apply(NodeId node, LogIndex idx, Command cmd) {
   // inline at the end of the previous apply.
   replicas_[node]->execute(pool_batch(cmd));
   rm_.batches_applied->inc();
-  if (opts_.divergence_check) check_divergence(node, idx);
+  // One post-batch hash serves the divergence record and the WAL record.
+  const std::uint64_t hash = replicas_[node]->state_hash();
+  if (opts_.divergence_check) check_divergence(node, idx, hash);
   if (quarantined_[node] != 0) return;  // divergence handling took over
   if (dur_[node] != nullptr) {
     // Group commit: one WAL record per agreed batch, carrying the
@@ -346,7 +348,7 @@ void ReplicatedDb::apply(NodeId node, LogIndex idx, Command cmd) {
     rec.seq = idx;
     rec.term = cluster_.node(node).committed_term_at(idx);
     rec.command = cmd;
-    rec.state_hash = replicas_[node]->state_hash();
+    rec.state_hash = hash;
     rec.batch = pool_batch(cmd);
     if (queues_[node] != nullptr) {
       queues_[node]->push(std::move(rec), trace_sampled(idx));
@@ -365,8 +367,8 @@ void ReplicatedDb::apply(NodeId node, LogIndex idx, Command cmd) {
   }
 }
 
-void ReplicatedDb::check_divergence(NodeId node, LogIndex idx) {
-  const std::uint64_t hash = replicas_[node]->state_hash();
+void ReplicatedDb::check_divergence(NodeId node, LogIndex idx,
+                                    std::uint64_t hash) {
   if (idx > hash_history_.size()) {
     hash_history_.resize(static_cast<std::size_t>(idx));
   }

@@ -262,7 +262,7 @@ class ReplicatedDb {
   void apply(NodeId node, LogIndex idx, Command cmd);
   void on_install(NodeId follower, NodeId leader, LogIndex upto);
   void take_checkpoint(NodeId node, LogIndex idx);
-  void check_divergence(NodeId node, LogIndex idx);
+  void check_divergence(NodeId node, LogIndex idx, std::uint64_t hash);
   std::unique_ptr<db::Database> build_replica() const;
   void fold_stats(NodeId node);
   const std::vector<sched::TxRequest>& pool_batch(Command cmd) const;

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <sstream>
 
+#include "common/decimal.hpp"
 #include "dur/crc32c.hpp"
 
 namespace prog::dur {
@@ -59,19 +60,32 @@ sched::EngineStats stats_from_fields(const std::array<std::uint64_t, 16>& f) {
 }  // namespace
 
 std::string encode_checkpoint(const CheckpointImage& cp) {
-  std::ostringstream os;
-  os << kHeader << '\n';
-  os << "seq " << cp.seq << " term " << cp.term << " hash " << cp.state_hash
-     << '\n';
-  os << "stats";
-  for (const std::uint64_t v : stats_fields(cp.engine_stats)) os << ' ' << v;
-  os << '\n';
-  os << "prefix " << cp.command_prefix.size();
-  for (const std::uint64_t c : cp.command_prefix) os << ' ' << c;
-  os << '\n';
-  os << "image " << cp.image.size() << '\n';
-  os << cp.image;
-  std::string out = os.str();
+  // One allocation: the fixed lines and the footer fit in 512 bytes, and
+  // each prefix entry takes at most 21.
+  std::string out;
+  out.reserve(512 + 21 * cp.command_prefix.size() + cp.image.size());
+  out += kHeader;
+  out += "\nseq ";
+  append_decimal(out, cp.seq);
+  out += " term ";
+  append_decimal(out, cp.term);
+  out += " hash ";
+  append_decimal(out, cp.state_hash);
+  out += "\nstats";
+  for (const std::uint64_t v : stats_fields(cp.engine_stats)) {
+    out += ' ';
+    append_decimal(out, v);
+  }
+  out += "\nprefix ";
+  append_decimal(out, cp.command_prefix.size());
+  for (const std::uint64_t c : cp.command_prefix) {
+    out += ' ';
+    append_decimal(out, c);
+  }
+  out += "\nimage ";
+  append_decimal(out, cp.image.size());
+  out += '\n';
+  out += cp.image;
   char crc[16];
   std::snprintf(crc, sizeof crc, "crc %08x\n", crc32c(out));
   out += crc;

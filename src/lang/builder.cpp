@@ -148,8 +148,9 @@ void ProcBuilder::assign(Val var_ref, Val e) {
 }
 
 Handle ProcBuilder::get(TableId table, Val key) {
-  const VarId v = new_var("h" + std::to_string(proc_.var_types.size()),
-                          VarType::kHandle);
+  std::string name = "h";
+  name += std::to_string(proc_.var_types.size());
+  const VarId v = new_var(std::move(name), VarType::kHandle);
   Stmt s;
   s.kind = SKind::kGet;
   s.var = v;
@@ -216,8 +217,9 @@ void ProcBuilder::if_(Val cond,
 void ProcBuilder::for_(Val lo, Val hi, std::int64_t max_iters,
                        const std::function<void(ProcBuilder&, Val)>& body_fn) {
   PROG_CHECK_MSG(max_iters > 0, "for_ requires a positive static bound");
-  const VarId v = new_var("i" + std::to_string(proc_.var_types.size()),
-                          VarType::kScalar);
+  std::string name = "i";
+  name += std::to_string(proc_.var_types.size());
+  const VarId v = new_var(std::move(name), VarType::kScalar);
   Stmt s;
   s.kind = SKind::kFor;
   s.var = v;

@@ -153,7 +153,9 @@ class Printer {
     if (v < proc_.var_names.size() && !proc_.var_names[v].empty()) {
       return proc_.var_names[v];
     }
-    return "v" + std::to_string(v);
+    std::string name = "v";
+    name += std::to_string(v);
+    return name;
   }
 
   const Proc& proc_;

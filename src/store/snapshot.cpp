@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/check.hpp"
+#include "common/decimal.hpp"
 
 namespace prog::store {
 
@@ -33,17 +34,35 @@ std::string serialize_visible(const VersionedStore& store, BatchId snapshot) {
   std::sort(rows.begin(), rows.end(),
             [](const ImageRow& a, const ImageRow& b) { return a.key < b.key; });
 
-  std::ostringstream os;
-  os << kHeader << ' ' << rows.size() << ' ' << store.state_hash(snapshot)
-     << '\n';
+  // Appends into one string. 24 bytes is about one TPC-C row (two or three
+  // small fields); wider rows grow it geometrically. The result is trimmed
+  // to its length because checkpoints keep images alive.
+  std::string out;
+  out.reserve(32 + rows.size() * 24);
+  out += kHeader;
+  out += ' ';
+  append_decimal(out, rows.size());
+  out += ' ';
+  append_decimal(out, store.state_hash(snapshot));
+  out += '\n';
   for (const ImageRow& r : rows) {
-    os << "r " << r.key.table << ' ' << r.key.key << ' '
-       << r.row->field_count();
-    for (const auto& [f, v] : *r.row) os << ' ' << f << ' ' << v;
-    os << '\n';
+    out += "r ";
+    append_decimal(out, r.key.table);
+    out += ' ';
+    append_decimal(out, r.key.key);
+    out += ' ';
+    append_decimal(out, r.row->field_count());
+    for (const auto& [f, v] : *r.row) {
+      out += ' ';
+      append_decimal(out, f);
+      out += ' ';
+      append_decimal(out, v);
+    }
+    out += '\n';
   }
-  os << "end\n";
-  return os.str();
+  out += "end\n";
+  out.shrink_to_fit();
+  return out;
 }
 
 std::uint64_t image_state_hash(const std::string& image) {

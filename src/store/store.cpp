@@ -56,15 +56,27 @@ void VersionedStore::put(TKey key, Row row, BatchId batch) {
   access_delay();
   stats_.puts.fetch_add(1, std::memory_order_relaxed);
   Shard& shard = shard_for(key);
+  RowPtr fresh = make_row(std::move(row));
   std::unique_lock lock(shard.mu);
+  install(shard, key, std::move(fresh), batch);
+}
+
+void VersionedStore::install(Shard& shard, TKey key, RowPtr row,
+                             BatchId batch) {
   Chain& chain = shard.map[key];
-  if (!chain.versions.empty() && chain.versions.back().batch == batch) {
-    chain.versions.back().row = make_row(std::move(row));
-    return;
-  }
-  PROG_CHECK_MSG(chain.versions.empty() || chain.versions.back().batch < batch,
+  PROG_CHECK_MSG(chain.versions.empty() || chain.versions.back().batch <= batch,
                  "store writes must carry monotonically increasing batches");
-  chain.versions.push_back({batch, make_row(std::move(row))});
+  // The new version replaces the newest one in the latest-state hash.
+  shard.latest_hash += row_term(key, row);
+  if (!chain.versions.empty()) {
+    Version& newest = chain.versions.back();
+    shard.latest_hash -= row_term(key, newest.row);
+    if (newest.batch == batch) {  // same-batch overwrite
+      newest.row = std::move(row);
+      return;
+    }
+  }
+  chain.versions.push_back({batch, std::move(row)});
 }
 
 void VersionedStore::del(TKey key, BatchId batch) {
@@ -72,14 +84,7 @@ void VersionedStore::del(TKey key, BatchId batch) {
   stats_.dels.fetch_add(1, std::memory_order_relaxed);
   Shard& shard = shard_for(key);
   std::unique_lock lock(shard.mu);
-  Chain& chain = shard.map[key];
-  if (!chain.versions.empty() && chain.versions.back().batch == batch) {
-    chain.versions.back().row = nullptr;
-    return;
-  }
-  PROG_CHECK_MSG(chain.versions.empty() || chain.versions.back().batch < batch,
-                 "store writes must carry monotonically increasing batches");
-  chain.versions.push_back({batch, nullptr});
+  install(shard, key, nullptr, batch);
 }
 
 std::uint64_t VersionedStore::version_hash(TKey key, BatchId snapshot) const {
@@ -119,15 +124,16 @@ void VersionedStore::gc_before(BatchId watermark) {
 }
 
 std::uint64_t VersionedStore::state_hash(BatchId snapshot) const {
-  std::uint64_t acc = 0;
+  std::uint64_t acc = 0;  // commutative combine: sum mod 2^64
   for (const Shard& shard : shards_) {
     std::shared_lock lock(shard.mu);
+    if (snapshot == kLatest) {
+      acc += shard.latest_hash;
+      continue;
+    }
     for (const auto& [key, chain] : shard.map) {
       const Version* v = visible(chain, snapshot);
-      if (v == nullptr || v->row == nullptr) continue;
-      const std::uint64_t k =
-          mix64((static_cast<std::uint64_t>(key.table) << 48) ^ key.key);
-      acc += mix64(k ^ v->row->hash());  // commutative combine
+      if (v != nullptr) acc += row_term(key, v->row);
     }
   }
   return acc;
@@ -159,6 +165,7 @@ void VersionedStore::clone_visible_into(VersionedStore& dst,
       // but take the lock for interface consistency.
       std::unique_lock dlock(dshard.mu);
       dshard.map[key].versions.push_back({0, v->row});
+      dshard.latest_hash += row_term(key, v->row);
     }
   }
 }

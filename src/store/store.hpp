@@ -88,8 +88,11 @@ class VersionedStore {
   void gc_before(BatchId watermark);
 
   /// Commutative hash of the full visible state at `snapshot`; equal on two
-  /// stores iff the visible key->row maps are equal. Used by the determinism
-  /// and replication tests.
+  /// stores iff the visible key->row maps are equal: the sum mod 2^64 of
+  /// row_term() over the visible rows. Each shard keeps that sum for its
+  /// newest versions up to date on every write, so the latest-state hash
+  /// reads one accumulator per shard (O(shards)); a historical `snapshot`
+  /// scans every chain.
   std::uint64_t state_hash(BatchId snapshot = kLatest) const;
 
   /// Copies the state visible at `snapshot` into `dst` as its batch-0
@@ -132,7 +135,18 @@ class VersionedStore {
   struct Shard {
     mutable std::shared_mutex mu;
     std::unordered_map<TKey, Chain, TKeyHash> map;
+    // Sum mod 2^64 of row_term() over the newest version of every key in
+    // `map` (tombstones add nothing). Guarded by `mu` like `map`.
+    std::uint64_t latest_hash = 0;
   };
+
+  /// One visible row's contribution to state_hash(); 0 for a tombstone.
+  static std::uint64_t row_term(TKey key, const RowPtr& row) {
+    if (row == nullptr) return 0;
+    const std::uint64_t k =
+        mix64((static_cast<std::uint64_t>(key.table) << 48) ^ key.key);
+    return mix64(k ^ row->hash());
+  }
 
   const Shard& shard_for(TKey key) const {
     return shards_[TKeyHash{}(key) % shards_.size()];
@@ -142,6 +156,10 @@ class VersionedStore {
   }
 
   static const Version* visible(const Chain& chain, BatchId snapshot);
+
+  /// Appends (or same-batch replaces) the newest version of `key` and keeps
+  /// `shard.latest_hash` in step. Caller holds `shard.mu` exclusively.
+  static void install(Shard& shard, TKey key, RowPtr row, BatchId batch);
 
   void access_delay() const;
 

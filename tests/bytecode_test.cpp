@@ -319,8 +319,9 @@ class FuzzGen {
   void generate() {
     const int params = static_cast<int>(rng_.uniform(1, 3));
     for (int i = 0; i < params; ++i) {
-      scalars_.push_back(
-          b_.param("p" + std::to_string(i), -64, 64));
+      std::string name = "p";
+      name += std::to_string(i);
+      scalars_.push_back(b_.param(std::move(name), -64, 64));
     }
     block(b_, /*budget=*/static_cast<int>(rng_.uniform(3, 7)), /*depth=*/0);
     if (rng_.percent(60)) b_.emit(expr(b_, 2));

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <map>
 #include <memory>
 
@@ -374,6 +375,10 @@ struct VariantParam {
   bool multi_queue;
   bool parallel_failed;
   bool dt_before_it;
+  // gtest names each instance after the raw bytes of its param, so the
+  // struct has no padding: an uninitialised padding byte made the test
+  // names differ from one run to the next.
+  std::uint8_t reserved = 0;
 };
 
 class DeterminismTest : public ::testing::TestWithParam<VariantParam> {};

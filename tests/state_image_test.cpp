@@ -5,6 +5,7 @@
 // (stale rows overwritten, extra rows tombstoned).
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 
 #include "store/snapshot.hpp"
@@ -90,6 +91,41 @@ TEST(StateImageTest, SnapshotSelectsHistoricalState) {
   VersionedStore dst;
   restore_visible(dst, at1, 0);
   EXPECT_EQ(dst.get({kA, 1})->at(kF), 1);
+}
+
+// The image bytes are a wire and on-disk format (checkpoint files,
+// InstallSnapshot payloads), so they are frozen here byte for byte:
+// multi-field rows, an empty row, a tombstone, several tables, extreme keys
+// and values, and a historical snapshot next to the latest one.
+TEST(StateImageTest, GoldenBytesAreFrozen) {
+  constexpr TableId kC = 3;
+  VersionedStore s;
+  s.put({kA, 1}, Row{{kF, 10}, {kG, -20}, {7, 0}}, 0);
+  s.put({kA, 2}, Row{{kF, std::numeric_limits<Value>::min()}}, 0);
+  s.put({kA, 3}, Row{}, 0);
+  s.put({kB, std::numeric_limits<Key>::max()},
+        Row{{65535, std::numeric_limits<Value>::max()}}, 0);
+  s.put({kC, 0}, Row{{kG, 5}}, 0);
+  s.put({kA, 1}, Row{{kF, 11}, {kG, -20}, {7, 0}}, 1);
+  s.del({kA, 2}, 1);
+  s.put({kB, 9}, Row{{kG, 1}, {kF, 123456789012}}, 2);
+
+  EXPECT_EQ(serialize_visible(s, 0),
+            "state v1 5 4916119848360442935\n"
+            "r 1 1 3 0 10 1 -20 7 0\n"
+            "r 1 2 1 0 -9223372036854775808\n"
+            "r 1 3 0\n"
+            "r 2 18446744073709551615 1 65535 9223372036854775807\n"
+            "r 3 0 1 1 5\n"
+            "end\n");
+  EXPECT_EQ(serialize_visible(s),
+            "state v1 5 11511004959255478741\n"
+            "r 1 1 3 0 11 1 -20 7 0\n"
+            "r 1 3 0\n"
+            "r 2 9 2 0 123456789012 1 1\n"
+            "r 2 18446744073709551615 1 65535 9223372036854775807\n"
+            "r 3 0 1 1 5\n"
+            "end\n");
 }
 
 TEST(StateImageTest, EmptyStoreRoundTrips) {
