@@ -198,8 +198,8 @@ int main(int argc, char** argv) {
       const auto t0 = std::chrono::steady_clock::now();
       dur::write_checkpoint_file(vfs, dir, dir + "/ckpt-bench", cp);
       const double ms = ms_since(t0);
-      const double mb_s = ms > 0 ? cp.image.size() / ms / 1048.576 : 0;
-      table.row({name, std::to_string(cp.image.size()),
+      const double mb_s = ms > 0 ? cp.image->size() / ms / 1048.576 : 0;
+      table.row({name, std::to_string(cp.image->size()),
                  std::to_string(ms).substr(0, 6),
                  std::to_string(mb_s).substr(0, 7)});
       vfs.remove(dir + "/ckpt-bench");
@@ -210,7 +210,7 @@ int main(int argc, char** argv) {
       cp.seq = 42;
       cp.term = 2;
       cp.state_hash = 0xFEEDFACEull;
-      cp.image.assign(sz, 'x');
+      cp.image = std::make_shared<const std::string>(sz, 'x');
       const double p = publish(posix, "posix", root, cp);
       const double m = publish(mem, "faultvfs", "c", cp);
       if (sz <= (std::size_t{256} << 10)) {

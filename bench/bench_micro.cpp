@@ -51,13 +51,20 @@ void BM_StoreGet(benchmark::State& state) {
 }
 BENCHMARK(BM_StoreGet);
 
+// Steady-state puts: each round of 65,536 keys writes a new batch, and the
+// untimed GC after it keeps every chain at one or two versions, as the
+// engine's per-batch GC does.
 void BM_StorePut(benchmark::State& state) {
   store::VersionedStore s;
   Key k = 0;
   BatchId b = 1;
   for (auto _ : state) {
     s.put({1, k++ % 65536}, store::Row{{0, 1}, {1, 2}}, b);
-    if (k % 65536 == 0) ++b;
+    if (k % 65536 == 0) {
+      state.PauseTiming();
+      s.gc_before(b++);
+      state.ResumeTiming();
+    }
   }
   state.SetItemsProcessed(state.iterations());
 }
@@ -90,6 +97,37 @@ void BM_SerializeVisible(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_SerializeVisible)->Arg(10000)->Arg(40000)->Arg(160000)
+    ->Unit(benchmark::kMillisecond);
+
+// The checkpoint path: an image patched from the previous one after
+// range(1) percent of range(0) rows were rewritten (untimed, one batch per
+// image). Compare with BM_SerializeVisible at the same row count.
+void BM_IncrementalImage(benchmark::State& state) {
+  const std::int64_t rows = state.range(0);
+  const std::int64_t dirty = rows * state.range(1) / 100;
+  store::VersionedStore s;
+  fill_rows(s, rows);
+  store::StateImageBuilder builder;
+  builder.build(s);
+  std::uint64_t x = 1;
+  BatchId b = 1;
+  for (auto _ : state) {
+    state.PauseTiming();
+    for (std::int64_t i = 0; i < dirty; ++i) {
+      x = x * 6364136223846793005ull + 1442695040888963407ull;
+      const auto key = static_cast<std::int64_t>((x >> 33) % rows);
+      store::Row r;
+      for (FieldId f = 0; f < 8; ++f) r.set(f, key * 131 + f + b);
+      s.put({static_cast<TableId>(key % 4), static_cast<Key>(key)},
+            std::move(r), b);
+    }
+    s.gc_before(b++);
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(builder.build(s));
+  }
+  state.SetItemsProcessed(state.iterations() * rows);
+}
+BENCHMARK(BM_IncrementalImage)->Args({40000, 1})->Args({40000, 10})
     ->Unit(benchmark::kMillisecond);
 
 void BM_SolverFeasibility(benchmark::State& state) {

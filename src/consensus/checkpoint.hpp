@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -32,8 +33,10 @@ struct Checkpoint {
   Term term = 0;
   /// state_hash() of the image; with batch_seq, the checkpoint's identity.
   std::uint64_t state_hash = 0;
-  /// Canonical serialized visible state (store::serialize_visible).
-  std::string image;
+  /// Canonical serialized visible state (store::serialize_visible). Shared:
+  /// the replica's image builder, its durable copy and every checkpoint
+  /// store holding this checkpoint point at one buffer.
+  std::shared_ptr<const std::string> image;
   /// Commands (batch ids) applied to reach this state, in order — the
   /// applied record a rejoining node fast-forwards to.
   std::vector<Command> command_prefix;

@@ -45,6 +45,7 @@ ReplicatedDb::ReplicatedDb(unsigned replicas, std::uint64_t seed,
       opts_(recovery),
       setup_(setup),
       cp_stores_(replicas),
+      images_(replicas),
       carried_stats_(replicas),
       quarantined_(replicas, 0),
       registry_(std::make_shared<obs::Registry>()),
@@ -108,6 +109,11 @@ std::unique_ptr<db::Database> ReplicatedDb::build_replica() const {
   auto db = std::make_unique<db::Database>(config_);
   setup_(*db);
   return db;
+}
+
+void ReplicatedDb::rebuild_replica(NodeId i) {
+  replicas_[i] = build_replica();
+  images_[i].reset();  // the next image is a full one of the new store
 }
 
 // --- batch submission --------------------------------------------------------
@@ -407,7 +413,7 @@ void ReplicatedDb::take_checkpoint(NodeId node, LogIndex idx) {
   cp.batch_seq = idx;
   cp.term = cluster_.node(node).committed_term_at(idx);
   cp.state_hash = replicas_[node]->state_hash();
-  cp.image = store::serialize_visible(replicas_[node]->store());
+  cp.image = images_[node].build(replicas_[node]->store());
   cp.command_prefix = prefix;
   // Stats baseline at the boundary: carried + live. Deterministic (counts
   // only), so every replica's checkpoint at `idx` carries the same values.
@@ -451,6 +457,7 @@ void ReplicatedDb::crash_replica(NodeId i) {
   PROG_CHECK_MSG(replicas_[i] != nullptr, "crash_replica on a down replica");
   fold_stats(i);
   replicas_[i].reset();  // full in-memory loss
+  images_[i].reset();
   quarantined_[i] = 0;
   cluster_.crash(i);
   // Durable mode: the in-memory checkpoint store dies with the process —
@@ -472,7 +479,7 @@ void ReplicatedDb::crash_replica(NodeId i) {
 void ReplicatedDb::restart_replica(NodeId i) {
   PROG_CHECK_MSG(replicas_[i] == nullptr,
                  "restart_replica on a replica that is not down");
-  replicas_[i] = build_replica();
+  rebuild_replica(i);
   quarantined_[i] = 0;
   cluster_.restart(i);
   // The process lost everything but the checkpoint directory; the Raft node
@@ -486,7 +493,7 @@ void ReplicatedDb::restart_replica(NodeId i) {
   }
   const Checkpoint* cp = cp_stores_[i].latest();
   if (cp != nullptr && cp->batch_seq > 0) {
-    replicas_[i]->restore_state(cp->image);
+    replicas_[i]->restore_state(*cp->image);
     cluster_.node(i).install_local_snapshot(cp->batch_seq, cp->term);
     cluster_.reset_applied(i, cp->command_prefix);
     // Reset the stats baseline to the checkpoint's own snapshot (discarding
@@ -530,12 +537,12 @@ void ReplicatedDb::durable_restart(NodeId i) {
   const dur::CheckpointImage* chosen = nullptr;
   for (auto it = rec.checkpoints.rbegin(); it != rec.checkpoints.rend(); ++it) {
     try {
-      replicas_[i]->restore_state(it->image);
+      replicas_[i]->restore_state(*it->image);
       chosen = &*it;
       break;
     } catch (const std::exception&) {
       if (dm_.has_value()) dm_->checkpoint_decode_failures->inc();
-      replicas_[i] = build_replica();  // a failed restore leaves partial state
+      rebuild_replica(i);  // a failed restore leaves partial state
     }
   }
 
@@ -571,8 +578,8 @@ void ReplicatedDb::durable_restart(NodeId i) {
       // the last verified boundary and let the leader re-stream the rest.
       ++stats_.replay_hash_mismatches;
       if (dm_.has_value()) dm_->replay_hash_mismatches->inc();
-      replicas_[i] = build_replica();
-      if (chosen != nullptr) replicas_[i]->restore_state(chosen->image);
+      rebuild_replica(i);
+      if (chosen != nullptr) replicas_[i]->restore_state(*chosen->image);
       std::size_t redo = replayed;
       for (const dur::WalRecord& g : rec.wal) {
         if (redo == 0) break;
@@ -638,7 +645,7 @@ void ReplicatedDb::durable_restart(NodeId i) {
     cp.batch_seq = final_seq;
     cp.term = final_term;
     cp.state_hash = replicas_[i]->state_hash();
-    cp.image = store::serialize_visible(replicas_[i]->store());
+    cp.image = images_[i].build(replicas_[i]->store());
     cp.command_prefix = prefix;
     cp.engine_stats = replica_engine_stats(i);
     dur_[i]->persist_checkpoint(to_durable(cp));
@@ -661,8 +668,8 @@ void ReplicatedDb::on_install(NodeId follower, NodeId leader, LogIndex upto) {
   // fresh engine plus the checkpoint-carried baseline keeps
   // replica_engine_stats logical (each batch in the agreed prefix counted
   // exactly once).
-  replicas_[follower] = build_replica();
-  replicas_[follower]->restore_state(cp->image);
+  rebuild_replica(follower);
+  replicas_[follower]->restore_state(*cp->image);
   carried_stats_[follower] = cp->engine_stats;
   // The transferred image is also a valid local checkpoint for the follower
   // (determinism: identical bytes regardless of which replica produced it).
@@ -696,7 +703,7 @@ bool ReplicatedDb::resync(NodeId i) {
   const std::vector<Command> cmds = cluster_.applied(i);
   const LogIndex upto = static_cast<LogIndex>(cmds.size());
 
-  replicas_[i] = build_replica();
+  rebuild_replica(i);
 
   // Newest checkpoint whose (batch_seq, hash) the recorded history vouches
   // for. A diverged replica's later checkpoints carry corrupt images — the
@@ -719,7 +726,7 @@ bool ReplicatedDb::resync(NodeId i) {
   // the replay below, which is exactly what a healthy replica counted.
   LogIndex start = 0;
   if (trusted != nullptr) {
-    replicas_[i]->restore_state(trusted->image);
+    replicas_[i]->restore_state(*trusted->image);
     carried_stats_[i] = trusted->engine_stats;
     start = trusted->batch_seq;
     ++stats_.checkpoint_restores;
@@ -736,7 +743,7 @@ bool ReplicatedDb::resync(NodeId i) {
       // as state, not as pool entries — nothing local can re-execute it.
       // Wipe and let the leader re-stream the whole prefix (InstallSnapshot
       // clears the quarantine once the transferred state arrives).
-      replicas_[i] = build_replica();
+      rebuild_replica(i);
       carried_stats_[i] = {};
       cluster_.node(i).wipe();
       cluster_.reset_applied(i, {});

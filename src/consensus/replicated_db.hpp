@@ -43,6 +43,7 @@
 #include "obs/metrics.hpp"
 #include "obs/replica_metrics.hpp"
 #include "obs/tracing/tracing.hpp"
+#include "store/snapshot.hpp"
 
 namespace prog::consensus {
 
@@ -264,6 +265,9 @@ class ReplicatedDb {
   void take_checkpoint(NodeId node, LogIndex idx);
   void check_divergence(NodeId node, LogIndex idx, std::uint64_t hash);
   std::unique_ptr<db::Database> build_replica() const;
+  /// Replaces replica `i` with a freshly set-up database and drops its
+  /// image builder's base.
+  void rebuild_replica(NodeId i);
   void fold_stats(NodeId node);
   const std::vector<sched::TxRequest>& pool_batch(Command cmd) const;
   const std::optional<std::uint64_t>& recorded_hash(LogIndex idx) const;
@@ -292,6 +296,10 @@ class ReplicatedDb {
   SetupFn setup_;
   std::vector<std::unique_ptr<db::Database>> replicas_;
   std::vector<CheckpointStore> cp_stores_;
+  /// Per-replica checkpoint image builders: each image re-formats only the
+  /// rows written since that replica's previous one (DESIGN.md §8). Reset
+  /// whenever the replica's store is replaced.
+  std::vector<store::StateImageBuilder> images_;
   std::vector<sched::EngineStats> carried_stats_;
   std::vector<char> quarantined_;
   /// Submitted batches by command id. Entries stay until reclaimed (a

@@ -63,7 +63,8 @@ std::string encode_checkpoint(const CheckpointImage& cp) {
   // One allocation: the fixed lines and the footer fit in 512 bytes, and
   // each prefix entry takes at most 21.
   std::string out;
-  out.reserve(512 + 21 * cp.command_prefix.size() + cp.image.size());
+  const std::string& image = *cp.image;
+  out.reserve(512 + 21 * cp.command_prefix.size() + image.size());
   out += kHeader;
   out += "\nseq ";
   append_decimal(out, cp.seq);
@@ -83,9 +84,9 @@ std::string encode_checkpoint(const CheckpointImage& cp) {
     append_decimal(out, c);
   }
   out += "\nimage ";
-  append_decimal(out, cp.image.size());
+  append_decimal(out, image.size());
   out += '\n';
-  out += cp.image;
+  out += image;
   char crc[16];
   std::snprintf(crc, sizeof crc, "crc %08x\n", crc32c(out));
   out += crc;
@@ -146,7 +147,8 @@ CheckpointImage decode_checkpoint(const std::string& bytes) {
   if (image_off + image_bytes != body.size()) {
     malformed("image length disagrees with file size");
   }
-  cp.image.assign(body.substr(image_off, image_bytes));
+  cp.image = std::make_shared<const std::string>(
+      body.substr(image_off, image_bytes));
   return cp;
 }
 

@@ -24,6 +24,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -41,8 +42,9 @@ struct CheckpointImage {
   std::vector<std::uint64_t> command_prefix;
   /// Cumulative deterministic engine counters at this boundary.
   sched::EngineStats engine_stats{};
-  /// Canonical serialized visible state (store::serialize_visible).
-  std::string image;
+  /// Canonical serialized visible state (store::serialize_visible), shared
+  /// with the in-memory checkpoint and the image builder, never copied.
+  std::shared_ptr<const std::string> image;
 };
 
 /// Encodes `cp` into the v1 on-disk byte string.

@@ -19,10 +19,16 @@
 // tombstoned, all tagged with the caller's batch id. This supports both the
 // bootstrap path (restore over freshly loaded batch-0 state) and the
 // catch-up path (restore over a live store that lags the cluster).
+//
+// StateImageBuilder produces the same bytes as serialize_visible for a
+// sequence of latest-state images of one store, re-formatting only the rows
+// written since its previous image (DESIGN.md §8).
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "store/store.hpp"
 
@@ -43,5 +49,61 @@ std::uint64_t image_state_hash(const std::string& image);
 /// malformed input.
 void restore_visible(VersionedStore& dst, const std::string& image,
                      BatchId at);
+
+/// Successive latest-state images of one store, each byte-identical to
+/// serialize_visible(store), at a cost of O(rows written since the previous
+/// image) plus one memcpy of the unchanged lines.
+///
+/// The builder keeps its previous image (shared, not copied: callers that
+/// retain the newest image hold the same buffer) and the offset of every row
+/// line in it. The first build(), and any build() after reset() or after the
+/// store lost track of its writes (VersionedStore::take_written_keys), runs
+/// serialize_visible and indexes its lines. Later builds sort and dedupe the
+/// keys the store recorded, format only those rows, copy the unchanged runs
+/// of the previous image around them into one allocation of exactly the
+/// final size, and update the header's row count and state hash: minus the
+/// row_term of each replaced line (parsed back), plus that of each new row.
+/// The result must equal store.state_hash() — a write the recording missed
+/// fails that check instead of yielding a wrong image.
+class StateImageBuilder {
+ public:
+  using Image = std::shared_ptr<const std::string>;
+
+  /// Image of `store`'s latest state. Call only while no writer runs on
+  /// `store`, and from one builder per store.
+  Image build(VersionedStore& store);
+
+  /// Drops the previous image; the next build() is a full one. Call when
+  /// the store is replaced or rebuilt.
+  void reset();
+
+  /// build() calls that ran serialize_visible.
+  std::uint64_t full_builds() const noexcept { return full_builds_; }
+
+ private:
+  Image full_build(VersionedStore& store);
+
+  /// A dirty key's place in the next image: the old line it replaces (or
+  /// inserts before) and its freshly formatted line in `fresh_` (empty when
+  /// the key is no longer visible).
+  struct Patch {
+    std::uint32_t old_line;
+    bool replaces;
+    std::uint32_t fresh_begin;
+    std::uint32_t fresh_end;
+  };
+
+  const VersionedStore* store_ = nullptr;
+  Image image_;  ///< previous image; nullptr = next build is full
+  std::uint32_t body_begin_ = 0;  ///< offset of the first row line
+  std::uint64_t hash_ = 0;        ///< state hash in image_'s header
+  std::vector<std::uint32_t> lines_;  ///< row line offsets, in key order
+  std::uint64_t full_builds_ = 0;
+  // Scratch reused across builds.
+  std::vector<TKey> keys_;
+  std::vector<Patch> patches_;
+  std::string fresh_;
+  std::vector<std::uint32_t> next_lines_;
+};
 
 }  // namespace prog::store

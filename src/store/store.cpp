@@ -66,6 +66,19 @@ void VersionedStore::install(Shard& shard, TKey key, RowPtr row,
   Chain& chain = shard.map[key];
   PROG_CHECK_MSG(chain.versions.empty() || chain.versions.back().batch <= batch,
                  "store writes must carry monotonically increasing batches");
+  if (shard.recording) {
+    shard.max_batch = std::max(shard.max_batch, batch);
+    const bool listed = !chain.versions.empty() &&
+                        chain.versions.back().batch > shard.floor;
+    if (!listed) {
+      if (shard.written.size() < shard.map.size()) {
+        shard.written.push_back(key);
+      } else {  // a full rebuild is cheaper than a list this long
+        shard.recording = false;
+        std::vector<TKey>().swap(shard.written);
+      }
+    }
+  }
   // The new version replaces the newest one in the latest-state hash.
   shard.latest_hash += row_term(key, row);
   if (!chain.versions.empty()) {
@@ -164,22 +177,31 @@ void VersionedStore::clone_visible_into(VersionedStore& dst,
       // Single-threaded bootstrap path: no dst locking contention expected,
       // but take the lock for interface consistency.
       std::unique_lock dlock(dshard.mu);
-      dshard.map[key].versions.push_back({0, v->row});
-      dshard.latest_hash += row_term(key, v->row);
+      install(dshard, key, v->row, 0);
     }
   }
 }
 
-void VersionedStore::for_each_visible(
-    BatchId snapshot, const std::function<void(TKey, const Row&)>& fn) const {
-  for (const Shard& shard : shards_) {
-    std::shared_lock lock(shard.mu);
-    for (const auto& [key, chain] : shard.map) {
-      const Version* v = visible(chain, snapshot);
-      if (v == nullptr || v->row == nullptr) continue;
-      fn(key, *v->row);
+bool VersionedStore::take_written_keys(std::vector<TKey>& out) {
+  bool complete = true;
+  for (Shard& shard : shards_) {
+    std::unique_lock lock(shard.mu);
+    if (!shard.recording) {
+      // max_batch is kept only while recording: find it once.
+      complete = false;
+      shard.recording = true;
+      shard.max_batch = 0;
+      for (const auto& [key, chain] : shard.map) {
+        if (chain.versions.empty()) continue;
+        shard.max_batch =
+            std::max(shard.max_batch, chain.versions.back().batch);
+      }
     }
+    out.insert(out.end(), shard.written.begin(), shard.written.end());
+    shard.written.clear();
+    shard.floor = shard.max_batch;
   }
+  return complete;
 }
 
 std::size_t VersionedStore::version_count() const {

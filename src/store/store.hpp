@@ -17,7 +17,6 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <shared_mutex>
 #include <unordered_map>
@@ -107,10 +106,38 @@ class VersionedStore {
 
   /// Invokes `fn(key, row)` for every live key visible at `snapshot`.
   /// Iteration order is unspecified (shard/map order) — callers needing a
-  /// canonical order sort, as store::serialize_visible does.
-  void for_each_visible(
-      BatchId snapshot,
-      const std::function<void(TKey, const Row&)>& fn) const;
+  /// canonical order sort, as store::serialize_visible does. A template so
+  /// the full-image paths inline the visitor.
+  template <typename Fn>
+  void for_each_visible(BatchId snapshot, Fn&& fn) const {
+    for (const Shard& shard : shards_) {
+      std::shared_lock lock(shard.mu);
+      for (const auto& [key, chain] : shard.map) {
+        const Version* v = visible(chain, snapshot);
+        if (v == nullptr || v->row == nullptr) continue;
+        fn(key, *v->row);
+      }
+    }
+  }
+
+  /// Written-key recording for the incremental image builder
+  /// (store::StateImageBuilder, DESIGN.md §8). Appends to `out` every key
+  /// whose newest version changed since the previous call (unsorted, may
+  /// repeat) and (re)starts recording. Returns false when that list is not
+  /// complete — nothing was recording (first call, or a fresh store), or a
+  /// shard's list overflowed its bound (the shard's key count) and stopped
+  /// — and the caller must then rebuild from a full scan. Until the first
+  /// call no write records anything. One recorder per store; call only
+  /// while no writer runs.
+  bool take_written_keys(std::vector<TKey>& out);
+
+  /// One visible row's contribution to state_hash(): `row_hash` is the
+  /// row's Row::hash(). Public so an image can be re-hashed line by line.
+  static std::uint64_t row_term(TKey key, std::uint64_t row_hash) noexcept {
+    const std::uint64_t k =
+        mix64((static_cast<std::uint64_t>(key.table) << 48) ^ key.key);
+    return mix64(k ^ row_hash);
+  }
 
   /// Total versions currently retained (GC observability).
   std::size_t version_count() const;
@@ -138,14 +165,23 @@ class VersionedStore {
     // Sum mod 2^64 of row_term() over the newest version of every key in
     // `map` (tombstones add nothing). Guarded by `mu` like `map`.
     std::uint64_t latest_hash = 0;
+    // Written-key recording (take_written_keys), guarded by `mu`. While
+    // `recording`, install() keeps `max_batch` (the newest batch in the
+    // shard) and appends a key the first time its newest version moves
+    // past `floor` (max_batch at the last take), so a key written by many
+    // batches is listed once. A newest version above `floor` therefore
+    // proves the key is already listed. Overflowing the shard's key count
+    // stops recording and frees the list. A shard that is not recording
+    // pays one branch per write.
+    bool recording = false;
+    BatchId max_batch = 0;
+    BatchId floor = 0;
+    std::vector<TKey> written;
   };
 
-  /// One visible row's contribution to state_hash(); 0 for a tombstone.
+  /// row_term() of a stored version; 0 for a tombstone.
   static std::uint64_t row_term(TKey key, const RowPtr& row) {
-    if (row == nullptr) return 0;
-    const std::uint64_t k =
-        mix64((static_cast<std::uint64_t>(key.table) << 48) ^ key.key);
-    return mix64(k ^ row->hash());
+    return row == nullptr ? 0 : row_term(key, row->hash());
   }
 
   const Shard& shard_for(TKey key) const {
@@ -158,7 +194,8 @@ class VersionedStore {
   static const Version* visible(const Chain& chain, BatchId snapshot);
 
   /// Appends (or same-batch replaces) the newest version of `key` and keeps
-  /// `shard.latest_hash` in step. Caller holds `shard.mu` exclusively.
+  /// `shard.latest_hash` and the written-key list in step. Caller holds
+  /// `shard.mu` exclusively.
   static void install(Shard& shard, TKey key, RowPtr row, BatchId batch);
 
   void access_delay() const;

@@ -30,6 +30,49 @@ TEST(Crc32cTest, KnownVectors) {
   EXPECT_EQ(crc32c(zeros), 0x8A9136AAu);
 }
 
+// Bit-at-a-time CRC32C: the definition the table-driven version must match.
+std::uint32_t crc32c_bitwise(std::string_view data) {
+  std::uint32_t crc = ~0u;
+  for (const char c : data) {
+    crc ^= static_cast<std::uint8_t>(c);
+    for (int k = 0; k < 8; ++k) {
+      crc = (crc & 1u) != 0 ? (crc >> 1) ^ 0x82F63B78u : crc >> 1;
+    }
+  }
+  return ~crc;
+}
+
+TEST(Crc32cTest, KnownAnswerAtEveryAlignment) {
+  // The eight-byte loop sees the check string at every start offset and
+  // with every split between its word loop and its byte tail.
+  std::string buf(32, '#');
+  for (std::size_t off = 0; off < 16; ++off) {
+    buf.replace(off, 9, "123456789");
+    EXPECT_EQ(crc32c(std::string_view(buf).substr(off, 9)), 0xE3069283u)
+        << "offset " << off;
+  }
+}
+
+TEST(Crc32cTest, MatchesBytewiseReferenceOnRandomInput) {
+  std::uint64_t x = 0x9E3779B97F4A7C15ull;
+  std::string buf(128, '\0');
+  for (char& c : buf) {
+    x = x * 6364136223846793005ull + 1442695040888963407ull;
+    c = static_cast<char>(x >> 56);
+  }
+  for (std::size_t off = 0; off < 8; ++off) {
+    for (std::size_t len = 0; len <= 64; ++len) {
+      const std::string_view piece = std::string_view(buf).substr(off, len);
+      ASSERT_EQ(crc32c(piece), crc32c_bitwise(piece))
+          << "offset " << off << " length " << len;
+    }
+  }
+  // Chaining across a split inside a word gives the whole-buffer value.
+  const std::string_view all(buf);
+  EXPECT_EQ(crc32c(all.substr(13), crc32c(all.substr(0, 13))),
+            crc32c_bitwise(all));
+}
+
 TEST(Crc32cTest, SeedChaining) {
   const std::string all = "hello, durable world";
   const std::uint32_t whole = crc32c(all);
@@ -232,7 +275,8 @@ CheckpointImage sample_checkpoint() {
     cp.engine_stats.rolled_back_by_class[c] = c;
     cp.engine_stats.validation_aborts_by_class[c] = 2 - c;
   }
-  cp.image = "state v1 1 42\nr 1 0 7 1 0=42\nend\n";
+  cp.image = std::make_shared<const std::string>(
+      "state v1 1 42\nr 1 0 7 1 0=42\nend\n");
   return cp;
 }
 
@@ -243,7 +287,7 @@ TEST(CheckpointFileTest, RoundTripIncludingEngineStats) {
   EXPECT_EQ(back.term, cp.term);
   EXPECT_EQ(back.state_hash, cp.state_hash);
   EXPECT_EQ(back.command_prefix, cp.command_prefix);
-  EXPECT_EQ(back.image, cp.image);
+  EXPECT_EQ(*back.image, *cp.image);
   // Every one of the 16 deterministic engine counters survives.
   EXPECT_EQ(back.engine_stats.batches, cp.engine_stats.batches);
   EXPECT_EQ(back.engine_stats.committed, cp.engine_stats.committed);
@@ -302,7 +346,7 @@ TEST(CheckpointFileTest, GoldenV1FileDecodesExactly) {
   EXPECT_EQ(cp.engine_stats.batches, 12u);
   EXPECT_EQ(cp.engine_stats.committed, 96u);
   EXPECT_EQ(cp.engine_stats.validation_aborts_by_class[0], 2u);
-  EXPECT_EQ(cp.image, "state v1 1 42\nr 1 0 7 1 0=42\nend\n");
+  EXPECT_EQ(*cp.image, "state v1 1 42\nr 1 0 7 1 0=42\nend\n");
   // And the current encoder still produces byte-identical v1 output.
   EXPECT_EQ(encode_checkpoint(cp), bytes);
 }
@@ -353,7 +397,7 @@ CheckpointImage storage_checkpoint(std::uint64_t seq) {
   cp.term = 1;
   cp.state_hash = 1000 + seq;
   for (std::uint64_t c = 0; c < seq; ++c) cp.command_prefix.push_back(c);
-  cp.image = "img@" + std::to_string(seq);
+  cp.image = std::make_shared<const std::string>("img@" + std::to_string(seq));
   return cp;
 }
 

@@ -2,12 +2,15 @@
 // foundation of replica checkpoints, so the properties the recovery layer
 // leans on are pinned here: canonical bytes (identical images regardless of
 // write order or dead versions), hash round-trips, and reconciling restores
-// (stale rows overwritten, extra rows tombstoned).
+// (stale rows overwritten, extra rows tombstoned). StateImageBuilder's
+// incremental images are checked byte for byte against serialize_visible.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 #include <string>
 
+#include "common/rng.hpp"
 #include "store/snapshot.hpp"
 #include "store/store.hpp"
 
@@ -135,6 +138,116 @@ TEST(StateImageTest, EmptyStoreRoundTrips) {
   restore_visible(dst, serialize_visible(src), 1);
   EXPECT_EQ(dst.get({kA, 5}), nullptr);
   EXPECT_EQ(dst.state_hash(), src.state_hash());
+}
+
+// Every write path the store has, in a seeded mix, with an incremental image
+// every `every` steps that must equal the full serialization byte for byte.
+// A second builder follows clones into a fresh store (clone_visible_into
+// writes through the same install path).
+TEST(StateImageTest, IncrementalImageMatchesFullSerialize) {
+  for (const int every : {1, 3, 17}) {
+    Rng rng(7000 + every);
+    VersionedStore s(8);  // few shards: several dirty keys per shard
+    StateImageBuilder builder;
+    BatchId batch = 1;
+    const auto random_key = [&rng] {
+      return TKey{static_cast<TableId>(rng.uniform(1, 3)),
+                  static_cast<Key>(rng.uniform(0, 63))};
+    };
+    const auto random_row = [&rng] {
+      Row r;
+      const auto fields = rng.uniform(0, 3);
+      for (std::int64_t f = 0; f < fields; ++f) {
+        r.set(static_cast<FieldId>(rng.uniform(0, 5)), rng.uniform(-99, 99));
+      }
+      return r;
+    };
+    for (int k = 0; k < 100; ++k) s.put(random_key(), random_row(), 0);
+    int images = 0;
+    for (int step = 0; step < 3000; ++step) {
+      const auto op = rng.bounded(100);
+      if (op < 40) {
+        s.put(random_key(), random_row(), batch);  // may overwrite in-batch
+      } else if (op < 55) {
+        s.del(random_key(), batch);
+      } else if (op < 63) {
+        const TKey key = random_key();
+        s.del(key, batch);
+        s.put(key, random_row(), batch);
+      } else if (op < 83) {
+        ++batch;
+      } else if (op < 93) {
+        // Erases tombstone-only chains at or below the watermark.
+        s.gc_before(batch - rng.bounded(std::min<BatchId>(batch, 3)));
+      } else if (op < 96) {
+        const BatchId at = batch - rng.bounded(batch);
+        const std::string image = serialize_visible(s, at);
+        ++batch;
+        restore_visible(s, image, batch);
+      } else {
+        VersionedStore copy(5);
+        StateImageBuilder copy_builder;
+        ASSERT_EQ(*copy_builder.build(copy), serialize_visible(copy));
+        s.clone_visible_into(copy, batch - rng.bounded(batch));
+        ASSERT_EQ(*copy_builder.build(copy), serialize_visible(copy))
+            << "step " << step;
+        EXPECT_EQ(copy_builder.full_builds(), 1u);
+      }
+      if (step % every == 0) {
+        ASSERT_EQ(*builder.build(s), serialize_visible(s))
+            << "every " << every << " step " << step;
+        ++images;
+      }
+    }
+    // The images were patches, not full rebuilds in disguise.
+    EXPECT_LT(builder.full_builds(), static_cast<std::uint64_t>(images / 4))
+        << "every " << every;
+  }
+}
+
+TEST(StateImageTest, BuilderStartsOverAfterResetOrOnAnotherStore) {
+  VersionedStore a(4);
+  VersionedStore b(4);
+  a.put({kA, 1}, Row{{kF, 1}}, 0);
+  b.put({kB, 2}, Row{{kF, 2}}, 0);
+  StateImageBuilder builder;
+  EXPECT_EQ(*builder.build(a), serialize_visible(a));
+  a.put({kA, 3}, Row{{kF, 3}}, 1);
+  EXPECT_EQ(*builder.build(a), serialize_visible(a));
+  EXPECT_EQ(builder.full_builds(), 1u);
+  EXPECT_EQ(*builder.build(b), serialize_visible(b));  // not a's patch
+  EXPECT_EQ(builder.full_builds(), 2u);
+  builder.reset();
+  b.put({kB, 2}, Row{{kG, 5}}, 1);
+  EXPECT_EQ(*builder.build(b), serialize_visible(b));
+  EXPECT_EQ(builder.full_builds(), 3u);
+}
+
+// A store that keeps writing without images stops recording once a shard's
+// list would outgrow the shard, and the next image is rebuilt in full.
+TEST(StateImageTest, WrittenKeyOverflowFallsBackToFullRebuild) {
+  VersionedStore s(1);  // one shard: its bound is the store's key count
+  for (Key k = 0; k < 4; ++k) s.put({kA, k}, Row{{kF, Value(k)}}, 0);
+  StateImageBuilder builder;
+  ASSERT_EQ(*builder.build(s), serialize_visible(s));
+
+  // Each insert is listed once; deleting it and erasing its chain keeps the
+  // shard at four keys, so the list overflows after a few rounds.
+  BatchId batch = 1;
+  for (Key k = 100; k < 110; ++k) {
+    s.put({kB, k}, Row{{kF, 1}}, batch++);
+    s.del({kB, k}, batch++);
+    s.gc_before(batch);
+  }
+  s.put({kA, 2}, Row{{kG, 9}}, batch);
+  EXPECT_EQ(*builder.build(s), serialize_visible(s));
+  EXPECT_EQ(builder.full_builds(), 2u);
+
+  // The rebuild re-armed recording: the next image is a patch again.
+  s.put({kA, 7}, Row{{kF, 7}}, ++batch);
+  s.del({kA, 0}, batch);
+  EXPECT_EQ(*builder.build(s), serialize_visible(s));
+  EXPECT_EQ(builder.full_builds(), 2u);
 }
 
 }  // namespace

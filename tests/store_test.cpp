@@ -284,6 +284,34 @@ TEST(StoreTest, ConcurrentDisjointWritesKeepStateHash) {
   EXPECT_EQ(s.state_hash(1), scan_hash(s, 1));
 }
 
+// The same disjoint concurrent writers while the store records written keys
+// for an image builder: each shard's list is appended under its lock, and
+// the next image is a patch equal to the full serialization.
+TEST(StoreTest, ConcurrentDisjointWritesWhileRecordingKeys) {
+  VersionedStore s;
+  constexpr int kThreads = 4;
+  constexpr int kKeys = 4000;
+  for (int k = 0; k < kKeys; ++k) {
+    s.put({1, static_cast<Key>(k)}, Row{{0, Value(k)}}, 1);
+  }
+  StateImageBuilder builder;
+  ASSERT_EQ(*builder.build(s), serialize_visible(s));
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&s, t] {
+      for (int k = t; k < kKeys; k += kThreads) {
+        const TKey key{static_cast<TableId>(1 + k % 2), static_cast<Key>(k)};
+        s.put(key, Row{{0, Value(k)}, {1, t}}, 2);
+        if (k % 3 == 0) s.del(key, 2);
+        if (k % 5 == 0) s.put(key, Row{{0, -Value(k)}}, 2);
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(*builder.build(s), serialize_visible(s));
+  EXPECT_EQ(builder.full_builds(), 1u);
+}
+
 TEST(StoreTest, StatsCount) {
   VersionedStore s;
   s.put({1, 1}, Row{}, 1);
