@@ -73,8 +73,7 @@ struct WalRow {
 
 WalRow wal_throughput(dur::Vfs& vfs, const std::string& dir,
                       std::size_t batch_size, std::uint64_t records) {
-  dur::StorageOptions opts;
-  dur::DurableReplicaStorage st(vfs, dir, opts);
+  dur::DurableReplicaStorage st(vfs, dir);
   std::uint64_t bytes = 0;
   const auto t0 = std::chrono::steady_clock::now();
   for (std::uint64_t s = 1; s <= records; ++s) {

@@ -1,9 +1,9 @@
 // Seeded chaos harness for the replicated database (DESIGN.md §8).
 //
 // Drives a ReplicatedDb through a randomized-but-deterministic schedule of
-// faults — full replica crashes (in-memory loss + wipe), process pauses,
-// minority partitions, heals, and message-drop bursts — while continuously
-// feeding it workload batches. The entire run, fault schedule included, is a
+// faults — replica crashes (process death, then recovery from disk),
+// process pauses, minority partitions, heals, and message-drop bursts —
+// while continuously feeding it workload batches. The entire run, fault schedule included, is a
 // pure function of (cluster seed, chaos seed, options): re-running with the
 // same seeds replays the identical event sequence and must reach the
 // identical final state hash.
@@ -39,7 +39,7 @@ struct ChaosOptions {
 
   // Per-round fault probabilities, in percent; their sum must be <= 100.
   // At most one event fires per round.
-  unsigned crash_pct = 8;      ///< crash_replica: full in-memory loss
+  unsigned crash_pct = 8;      ///< crash_replica: process death
   unsigned pause_pct = 8;      ///< raft crash: process pause, state survives
   unsigned partition_pct = 8;  ///< isolate a random minority group
   unsigned heal_pct = 25;      ///< heal the split / restart one downed node

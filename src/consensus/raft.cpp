@@ -144,6 +144,12 @@ void RaftNode::become_leader() {
   role_ = Role::kLeader;
   next_index_.assign(n_, last_index() + 1);
   match_index_.assign(n_, 0);
+  // A leader commits only entries of its own term (§5.4.2), so earlier-term
+  // entries above the commit index would wait for the next client submit.
+  // A no-op of the new term commits them now (§8).
+  if (last_index() > commit_index_ && cluster_.noop_) {
+    log_.push_back({term_, cluster_.noop_()});
+  }
   match_index_[id_] = last_index();
   next_heartbeat_ = 0;
   broadcast_append();
@@ -243,6 +249,13 @@ void RaftNode::on_install_snapshot(const InstallSnapshot& is) {
   if (is.term == term_) {
     if (role_ != Role::kFollower) role_ = Role::kFollower;
     reset_election_deadline();
+    if (is.last_index > last_applied_ &&
+        !cluster_.can_install(id_, is.leader, is.last_index)) {
+      // Stale: the leader no longer holds this boundary's state. Decline;
+      // the failed reply makes it resend its current boundary.
+      cluster_.rpc(id_, is.leader, reply, &RaftNode::on_append_reply);
+      return;
+    }
     if (is.last_index > last_applied_) {
       // Adopt the snapshot wholesale: any local suffix is either stale or
       // will be re-replicated by the leader from last_index on.

@@ -4,7 +4,8 @@
 // transaction batches). Implements the core Raft safety machinery: terms,
 // randomized election timeouts, vote granting with the up-to-date-log check,
 // AppendEntries consistency checking with conflict truncation, and
-// majority-match commit advancement restricted to the leader's current term.
+// majority-match commit advancement restricted to the leader's current term,
+// with the no-op a new leader proposes so that restriction cannot stall.
 //
 // Also implements the recovery machinery the replicated database layers on
 // top of: log compaction up to a snapshot boundary (compact_to), an
@@ -212,6 +213,15 @@ class RaftCluster {
   /// must transfer the application state for that prefix (e.g. restore the
   /// leader's checkpoint into the follower's replica).
   using InstallFn = std::function<void(NodeId, NodeId, LogIndex)>;
+  /// `can_install(follower, leader, upto)`: whether `leader` still holds the
+  /// state for an InstallSnapshot covering 1..upto. The follower declines an
+  /// install that fails it (the leader moved its boundary while the message
+  /// was in flight), and its failed reply makes the leader resend its
+  /// current boundary.
+  using CanInstallFn = std::function<bool(NodeId, NodeId, LogIndex)>;
+  /// Returns the command a newly elected leader proposes as a no-op when
+  /// its log ends above its commit index (see RaftNode::become_leader).
+  using NoopFn = std::function<Command()>;
 
   RaftCluster(unsigned n, std::uint64_t seed, SimNet::Options net_opts = {},
               ApplyFn apply = {});
@@ -240,9 +250,11 @@ class RaftCluster {
     nodes_[i]->on_restart();
   }
 
-  void set_install_handler(InstallFn install) {
+  void set_install_handler(InstallFn install, CanInstallFn can_install) {
     install_ = std::move(install);
+    can_install_ = std::move(can_install);
   }
+  void set_noop_source(NoopFn noop) { noop_ = std::move(noop); }
 
   /// Overwrites node `i`'s applied-command record with `prefix` — used when
   /// the node rejoins from a checkpoint covering exactly those commands.
@@ -265,6 +277,9 @@ class RaftCluster {
       apply_(node, static_cast<LogIndex>(applied_[node].size()), cmd);
     }
   }
+  bool can_install(NodeId follower, NodeId leader, LogIndex upto) const {
+    return !can_install_ || can_install_(follower, leader, upto);
+  }
   /// Snapshot install accepted: fast-forward the follower's applied record
   /// to the leader's committed prefix, then hand the state transfer to the
   /// application. Every command <= upto is committed, so the prefix is
@@ -284,6 +299,8 @@ class RaftCluster {
   std::vector<std::vector<Command>> applied_;
   ApplyFn apply_;
   InstallFn install_;
+  CanInstallFn can_install_;
+  NoopFn noop_;
 
   friend class RaftNode;
 };

@@ -112,11 +112,10 @@ RecoveryFuzzReport run_recovery_fuzz(const ReplicatedDb::SetupFn& setup,
     }
   }
 
-  if (const dur::DurMetrics* dm = rdb.dur_metrics()) {
-    rep.torn_tails_truncated = dm->torn_tails_truncated->value();
-    rep.records_quarantined = dm->records_quarantined->value();
-    rep.io_errors = dm->io_errors->value();
-  }
+  const dur::DurMetrics& dm = *rdb.dur_metrics();
+  rep.torn_tails_truncated = dm.torn_tails_truncated->value();
+  rep.records_quarantined = dm.records_quarantined->value();
+  rep.io_errors = dm.io_errors->value();
   rdb.refresh_gauges();
   return rep;
 }

@@ -14,27 +14,12 @@ namespace prog::consensus {
 
 namespace {
 
-dur::CheckpointImage to_durable(const Checkpoint& cp) {
-  dur::CheckpointImage ci;
-  ci.seq = cp.batch_seq;
-  ci.term = cp.term;
-  ci.state_hash = cp.state_hash;
-  ci.command_prefix = cp.command_prefix;
-  ci.engine_stats = cp.engine_stats;
-  ci.image = cp.image;
-  return ci;
-}
-
-Checkpoint from_durable(const dur::CheckpointImage& ci) {
-  Checkpoint cp;
-  cp.batch_seq = ci.seq;
-  cp.term = ci.term;
-  cp.state_hash = ci.state_hash;
-  cp.command_prefix = ci.command_prefix;
-  cp.engine_stats = ci.engine_stats;
-  cp.image = ci.image;
-  return cp;
-}
+/// Checkpoints each replica's in-memory store retains (oldest evicted
+/// first, the recovery anchor never).
+constexpr std::size_t kMaxCheckpoints = 4;
+/// submit_with_retry backoff: first wait, doubling up to the cap.
+constexpr SimTime kRetryStepMs = 25;
+constexpr SimTime kRetryMaxStepMs = 400;
 
 }  // namespace
 
@@ -50,48 +35,50 @@ ReplicatedDb::ReplicatedDb(unsigned replicas, std::uint64_t seed,
       quarantined_(replicas, 0),
       registry_(std::make_shared<obs::Registry>()),
       rm_(obs::ReplicaMetrics::create(*registry_)),
+      dm_(dur::DurMetrics::create(*registry_)),
+      own_vfs_(seed),
       cluster_(replicas, seed, net_opts,
                [this](NodeId node, LogIndex idx, Command cmd) {
                  apply(node, idx, cmd);
                }) {
   PROG_CHECK(setup_ != nullptr);
+  if (opts_.vfs == nullptr) opts_.vfs = &own_vfs_;
   for (unsigned i = 0; i < replicas; ++i) {
     replicas_.push_back(build_replica());
   }
   cluster_.set_install_handler(
       [this](NodeId follower, NodeId leader, LogIndex upto) {
         on_install(follower, leader, upto);
+      },
+      [this](NodeId, NodeId leader, LogIndex upto) {
+        return can_serve_install(leader, upto);
       });
-  dur_.resize(replicas);
+  cluster_.set_noop_source([this] { return propose_noop(); });
   queues_.resize(replicas);
   durable_mark_.resize(replicas, 0);
   qfw_seen_.resize(replicas, 0);
-  if (opts_.vfs != nullptr) {
-    dm_.emplace(dur::DurMetrics::create(*registry_));
-    for (unsigned i = 0; i < replicas; ++i) {
-      dur_[i] = std::make_unique<dur::DurableReplicaStorage>(
-          *opts_.vfs, opts_.dur_dir + "/r" + std::to_string(i), opts_.storage,
-          &*dm_);
-      cluster_.node(i).set_meta_hook([this, i](Term t, std::int64_t vote) {
-        dur_[i]->persist_meta(t, vote);
-      });
-    }
-    // Cold start: whatever the directories already hold (a previous
-    // incarnation's WAL + checkpoints) is recovered before the first batch,
-    // so a ReplicatedDb can be torn down and rebuilt over the same Vfs.
-    for (unsigned i = 0; i < replicas; ++i) durable_restart(i);
-    // Commit queues come up only after recovery settled the boundary: the
-    // queue's initial watermark is everything recovery proved durable.
-    for (unsigned i = 0; i < replicas; ++i) make_commit_queue(i);
+  for (unsigned i = 0; i < replicas; ++i) {
+    dur_.push_back(std::make_unique<dur::DurableReplicaStorage>(
+        *opts_.vfs, opts_.dur_dir + "/r" + std::to_string(i), &dm_));
+    cluster_.node(i).set_meta_hook([this, i](Term t, std::int64_t vote) {
+      dur_[i]->persist_meta(t, vote);
+    });
   }
+  // Cold start: whatever the directories already hold (a previous
+  // incarnation's WAL + checkpoints) is recovered before the first batch,
+  // so a ReplicatedDb can be torn down and rebuilt over the same Vfs.
+  for (unsigned i = 0; i < replicas; ++i) durable_restart(i);
+  // Commit queues come up only after recovery settled the boundary: the
+  // queue's initial watermark is everything recovery proved durable.
+  for (unsigned i = 0; i < replicas; ++i) make_commit_queue(i);
   rm_.pipeline_depth->set(config_.pipeline_depth);
 }
 
 void ReplicatedDb::make_commit_queue(NodeId i) {
-  if (opts_.vfs == nullptr || config_.pipeline_depth == 0) return;
   const std::uint64_t recovered = cluster_.applied(i).size();
   durable_mark_[i] = recovered;
   qfw_seen_[i] = 0;
+  if (config_.pipeline_depth == 0) return;
   queues_[i] = std::make_unique<dur::DurableCommitQueue>(
       *dur_[i], i, config_.pipeline_depth, recovered);
 }
@@ -118,16 +105,36 @@ void ReplicatedDb::rebuild_replica(NodeId i) {
 
 // --- batch submission --------------------------------------------------------
 
-bool ReplicatedDb::submit_batch(std::vector<sched::TxRequest> batch) {
+bool ReplicatedDb::propose(std::vector<sched::TxRequest>& batch) {
   const Command cmd = next_cmd_;
   // Insert before submitting: a single-node cluster commits (and applies)
   // synchronously inside submit(), and apply() needs the pool entry.
   batch_pool_.insert_or_assign(cmd, std::move(batch));
+  if (!cluster_.submit(cmd)) {
+    batch = std::move(batch_pool_.extract(cmd).mapped());
+    return false;
+  }
+  ++next_cmd_;
+  rm_.batches_submitted->inc();
+  return true;
+}
+
+Command ReplicatedDb::propose_noop() {
+  // Called from inside an election, which may run between two attempts of
+  // submit_with_retry: propose() reads next_cmd_ afresh on every attempt.
+  const Command cmd = next_cmd_++;
+  batch_pool_.insert_or_assign(cmd, std::vector<sched::TxRequest>{});
+  rm_.batches_submitted->inc();
+  ++stats_.leader_noops;
+  return cmd;
+}
+
+bool ReplicatedDb::submit_batch(std::vector<sched::TxRequest> batch) {
   // Causal tracing: the submit-side trace id is the log index this command
   // will occupy in a quiet cluster (cmd + 1 — indexes are 1-based). The
   // context rides every message the submission causes (SimNet captures it),
   // and apply() re-derives the authoritative id from the actual log index.
-  const std::uint64_t tseq = cmd + 1;
+  const std::uint64_t tseq = next_cmd_ + 1;
   obs::tracing::ScopedContext tsc(
       {tseq, obs::tracing::kNoReplica, trace_sampled(tseq)});
   if (trace_sampled(tseq)) {
@@ -136,13 +143,7 @@ bool ReplicatedDb::submit_batch(std::vector<sched::TxRequest> batch) {
     ev.batch_seq = tseq;
     obs::tracing::emit(ev);
   }
-  if (!cluster_.submit(cmd)) {
-    batch_pool_.erase(cmd);
-    return false;
-  }
-  ++next_cmd_;
-  rm_.batches_submitted->inc();
-  return true;
+  return propose(batch);
 }
 
 bool ReplicatedDb::submit_with_retry(std::vector<sched::TxRequest> batch,
@@ -152,9 +153,7 @@ bool ReplicatedDb::submit_with_retry(std::vector<sched::TxRequest> batch,
   // (e.g. a lost majority) times out instead of spinning forever.
   const SimTime deadline =
       std::min<SimTime>(max_wait_ms, std::max<SimTime>(opts_.submit_deadline_ms, 1));
-  const Command cmd = next_cmd_;
-  batch_pool_.insert_or_assign(cmd, std::move(batch));
-  const std::uint64_t tseq = cmd + 1;
+  const std::uint64_t tseq = next_cmd_ + 1;
   obs::tracing::ScopedContext tsc(
       {tseq, obs::tracing::kNoReplica, trace_sampled(tseq)});
   if (trace_sampled(tseq)) {
@@ -166,16 +165,13 @@ bool ReplicatedDb::submit_with_retry(std::vector<sched::TxRequest> batch,
     obs::tracing::emit(ev);
   }
   SimTime waited = 0;
-  SimTime step = std::max<SimTime>(opts_.retry_step_ms, 1);
+  SimTime step = kRetryStepMs;
   while (true) {
-    if (cluster_.submit(cmd)) {
-      ++next_cmd_;
-      rm_.batches_submitted->inc();
-      if (durable()) wait_durable_ack(waited, deadline);
+    if (propose(batch)) {
+      wait_durable_ack(waited, deadline);
       return true;
     }
     if (waited >= deadline) {
-      batch_pool_.erase(cmd);
       ++stats_.submit_timeouts;
       rm_.submit_timeouts->inc();
       return false;
@@ -183,15 +179,14 @@ bool ReplicatedDb::submit_with_retry(std::vector<sched::TxRequest> batch,
     const SimTime slice = std::min(step, deadline - waited);
     cluster_.run_ms(slice);
     waited += slice;
-    step = std::min<SimTime>(step * 2,
-                             std::max<SimTime>(opts_.retry_max_step_ms, 1));
+    step = std::min(step * 2, kRetryMaxStepMs);
     ++stats_.submit_retries;
     rm_.submit_retries->inc();
   }
 }
 
 bool ReplicatedDb::durable_quorum_at(LogIndex idx) const noexcept {
-  if (opts_.vfs == nullptr || idx == 0) return true;
+  if (idx == 0) return true;
   const unsigned n = cluster_.size();
   unsigned durable = 0;
   for (unsigned i = 0; i < n; ++i) {
@@ -201,7 +196,7 @@ bool ReplicatedDb::durable_quorum_at(LogIndex idx) const noexcept {
 }
 
 void ReplicatedDb::wait_durable_ack(SimTime& waited, SimTime deadline) {
-  // Durable ack semantics: leader acceptance is NOT an ack in durable mode.
+  // Durable ack semantics: leader acceptance is NOT an ack.
   // The ack waits for the durable watermark — a quorum of replicas with the
   // batch past a WAL group-commit barrier — so a crash between agreement
   // and fsync can never lose an acked transaction. The acceptance already
@@ -342,31 +337,29 @@ void ReplicatedDb::apply(NodeId node, LogIndex idx, Command cmd) {
   rm_.batches_applied->inc();
   // One post-batch hash serves the divergence record and the WAL record.
   const std::uint64_t hash = replicas_[node]->state_hash();
-  if (opts_.divergence_check) check_divergence(node, idx, hash);
+  check_divergence(node, idx, hash);
   if (quarantined_[node] != 0) return;  // divergence handling took over
-  if (dur_[node] != nullptr) {
-    // Group commit: one WAL record per agreed batch, carrying the
-    // post-apply state hash for replay verification. At depth 0 the fsync
-    // barrier runs inline on the apply path; at depth > 0 the record goes
-    // to the async commit queue and the durable watermark advances once
-    // the queue's shared barrier covers it.
-    dur::WalRecord rec;
-    rec.seq = idx;
-    rec.term = cluster_.node(node).committed_term_at(idx);
-    rec.command = cmd;
-    rec.state_hash = hash;
-    rec.batch = pool_batch(cmd);
-    if (queues_[node] != nullptr) {
-      queues_[node]->push(std::move(rec), trace_sampled(idx));
-      const std::uint64_t qfw = queues_[node]->queue_full_waits();
-      if (qfw > qfw_seen_[node]) {
-        rm_.pipeline_stall_queue_full->inc(qfw - qfw_seen_[node]);
-        qfw_seen_[node] = qfw;
-      }
-    } else {
-      dur_[node]->append_batch(rec);
-      durable_mark_[node] = idx;
+  // Group commit: one WAL record per agreed batch, carrying the post-apply
+  // state hash for replay verification. At depth 0 the fsync barrier runs
+  // inline on the apply path; at depth > 0 the record goes to the async
+  // commit queue and the durable watermark advances once the queue's
+  // shared barrier covers it.
+  dur::WalRecord rec;
+  rec.seq = idx;
+  rec.term = cluster_.node(node).committed_term_at(idx);
+  rec.command = cmd;
+  rec.state_hash = hash;
+  rec.batch = pool_batch(cmd);
+  if (queues_[node] != nullptr) {
+    queues_[node]->push(std::move(rec), trace_sampled(idx));
+    const std::uint64_t qfw = queues_[node]->queue_full_waits();
+    if (qfw > qfw_seen_[node]) {
+      rm_.pipeline_stall_queue_full->inc(qfw - qfw_seen_[node]);
+      qfw_seen_[node] = qfw;
     }
+  } else {
+    dur_[node]->append_batch(rec);
+    durable_mark_[node] = idx;
   }
   if (opts_.checkpoint_interval > 0 && idx % opts_.checkpoint_interval == 0) {
     take_checkpoint(node, idx);
@@ -410,7 +403,7 @@ void ReplicatedDb::take_checkpoint(NodeId node, LogIndex idx) {
   PROG_CHECK_MSG(prefix.size() == idx,
                  "checkpoint boundary disagrees with the applied record");
   Checkpoint cp;
-  cp.batch_seq = idx;
+  cp.seq = idx;
   cp.term = cluster_.node(node).committed_term_at(idx);
   cp.state_hash = replicas_[node]->state_hash();
   cp.image = images_[node].build(replicas_[node]->store());
@@ -418,15 +411,13 @@ void ReplicatedDb::take_checkpoint(NodeId node, LogIndex idx) {
   // Stats baseline at the boundary: carried + live. Deterministic (counts
   // only), so every replica's checkpoint at `idx` carries the same values.
   cp.engine_stats = replica_engine_stats(node);
-  if (dur_[node] != nullptr) {
-    // Durable-watermark gate: checkpoint publication rotates the WAL tail,
-    // so every record still in the async commit queue must reach its
-    // barrier first (counted as a waiting-on-fsync stall when the
-    // watermark lags the boundary).
-    quiesce_queue(node, idx);
-    dur_[node]->persist_checkpoint(to_durable(cp));
-  }
-  cp_stores_[node].add(std::move(cp), opts_.max_checkpoints);
+  // Durable-watermark gate: checkpoint publication rotates the WAL tail, so
+  // every record still in the async commit queue must reach its barrier
+  // first (counted as a waiting-on-fsync stall when the watermark lags the
+  // boundary).
+  quiesce_queue(node, idx);
+  dur_[node]->persist_checkpoint(cp);
+  cp_stores_[node].add(std::move(cp), kMaxCheckpoints);
   ++stats_.checkpoints_taken;
   rm_.checkpoints->inc();
 
@@ -437,11 +428,11 @@ void ReplicatedDb::take_checkpoint(NodeId node, LogIndex idx) {
   if (idx <= opts_.log_keep_tail) return;
   const Checkpoint* boundary =
       cp_stores_[node].latest_at_or_before(idx - opts_.log_keep_tail);
-  if (boundary != nullptr && boundary->batch_seq > 0) {
-    cluster_.node(node).compact_to(boundary->batch_seq);
+  if (boundary != nullptr && boundary->seq > 0) {
+    cluster_.node(node).compact_to(boundary->seq);
     // Everything below the compaction point is reachable only through this
     // image: pin it against checkpoint-store retention.
-    cp_stores_[node].set_anchor(static_cast<std::int64_t>(boundary->batch_seq));
+    cp_stores_[node].set_anchor(static_cast<std::int64_t>(boundary->seq));
   }
 }
 
@@ -456,17 +447,14 @@ void ReplicatedDb::fold_stats(NodeId node) {
 void ReplicatedDb::crash_replica(NodeId i) {
   PROG_CHECK_MSG(replicas_[i] != nullptr, "crash_replica on a down replica");
   fold_stats(i);
-  replicas_[i].reset();  // full in-memory loss
+  replicas_[i].reset();  // the process dies
   images_[i].reset();
   quarantined_[i] = 0;
   cluster_.crash(i);
-  // Durable mode: the in-memory checkpoint store dies with the process —
-  // the disk (Vfs) is the only thing a crash spares. The non-durable model
-  // keeps it, playing the role the Vfs now plays for real.
-  if (dur_[i] != nullptr) {
-    cp_stores_[i].clear();
-    cp_stores_[i].set_anchor(-1);
-  }
+  // The in-memory checkpoint store dies with the process: the directory on
+  // the Vfs is the only thing a crash spares.
+  cp_stores_[i].clear();
+  cp_stores_[i].set_anchor(-1);
   if (queues_[i] != nullptr) {
     // Crash semantics for the async durability stage: records still queued
     // (agreed but never fsynced) die with the process, exactly like an OS
@@ -482,42 +470,16 @@ void ReplicatedDb::restart_replica(NodeId i) {
   rebuild_replica(i);
   quarantined_[i] = 0;
   cluster_.restart(i);
-  // The process lost everything but the checkpoint directory; the Raft node
-  // models that as full disk loss, then (optionally) rejoins at the newest
-  // local checkpoint as if it had installed a snapshot there.
+  // The process lost everything but its directory: the Raft node starts
+  // blank, and recovery rejoins it at whatever the disk vouches for.
   cluster_.node(i).wipe();
-  if (dur_[i] != nullptr) {
-    durable_restart(i);
-    make_commit_queue(i);
-    return;
-  }
-  const Checkpoint* cp = cp_stores_[i].latest();
-  if (cp != nullptr && cp->batch_seq > 0) {
-    replicas_[i]->restore_state(*cp->image);
-    cluster_.node(i).install_local_snapshot(cp->batch_seq, cp->term);
-    cluster_.reset_applied(i, cp->command_prefix);
-    // Reset the stats baseline to the checkpoint's own snapshot (discarding
-    // the crash-time fold): the post-checkpoint suffix is about to be
-    // replayed and must be counted exactly once.
-    carried_stats_[i] = cp->engine_stats;
-    ++stats_.checkpoint_restores;
-    rm_.checkpoint_restores->inc();
-    if (obs::tracing::enabled()) {
-      obs::tracing::ScopedContext tsc({cp->batch_seq, i, true});
-      obs::tracing::trigger(obs::tracing::Anomaly::kRecovery,
-                            "replica " + std::to_string(i) +
-                                " restarted from in-memory checkpoint at "
-                                "batch " +
-                                std::to_string(cp->batch_seq));
-    }
-  } else {
-    cluster_.reset_applied(i, {});
-    carried_stats_[i] = {};  // full replay recounts everything from zero
+  durable_restart(i);
+  make_commit_queue(i);
+  if (cluster_.applied(i).empty()) {
+    // Nothing local survived: the leader re-streams from index 1.
     ++stats_.full_rebuilds;
     rm_.full_rebuilds->inc();
   }
-  // The committed suffix streams back in from the leader on its next
-  // heartbeat (AppendEntries, or InstallSnapshot when compacted past us).
 }
 
 void ReplicatedDb::durable_restart(NodeId i) {
@@ -527,21 +489,21 @@ void ReplicatedDb::durable_restart(NodeId i) {
 
   // Repopulate the (volatile) checkpoint store from the surviving slots, so
   // this node can serve InstallSnapshot at its boundaries again.
-  for (const dur::CheckpointImage& ci : rec.checkpoints) {
-    cp_stores_[i].add(from_durable(ci), opts_.max_checkpoints);
+  for (const Checkpoint& cp : rec.checkpoints) {
+    cp_stores_[i].add(cp, kMaxCheckpoints);
   }
 
   // Restore the newest slot whose image actually reconciles (the CRC already
   // vouched for the bytes; this guards against writer bugs). On failure the
   // WAL suffix is unusable too — it only continues from the newest slot.
-  const dur::CheckpointImage* chosen = nullptr;
+  const Checkpoint* chosen = nullptr;
   for (auto it = rec.checkpoints.rbegin(); it != rec.checkpoints.rend(); ++it) {
     try {
       replicas_[i]->restore_state(*it->image);
       chosen = &*it;
       break;
     } catch (const std::exception&) {
-      if (dm_.has_value()) dm_->checkpoint_decode_failures->inc();
+      dm_.checkpoint_decode_failures->inc();
       rebuild_replica(i);  // a failed restore leaves partial state
     }
   }
@@ -570,14 +532,14 @@ void ReplicatedDb::durable_restart(NodeId i) {
     std::vector<sched::TxRequest> batch = r.batch;
     replicas_[i]->execute(std::move(batch));
     ++stats_.wal_records_replayed;
-    if (dm_.has_value()) dm_->wal_records_replayed->inc();
+    dm_.wal_records_replayed->inc();
     if (replicas_[i]->state_hash() != r.state_hash) {
       // The record's hash disagrees with what re-execution produced: either
       // the persisted hash or the payload survived corrupted in a way the
       // CRC missed, or the dying replica had already diverged. Roll back to
       // the last verified boundary and let the leader re-stream the rest.
       ++stats_.replay_hash_mismatches;
-      if (dm_.has_value()) dm_->replay_hash_mismatches->inc();
+      dm_.replay_hash_mismatches->inc();
       rebuild_replica(i);
       if (chosen != nullptr) replicas_[i]->restore_state(*chosen->image);
       std::size_t redo = replayed;
@@ -605,9 +567,8 @@ void ReplicatedDb::durable_restart(NodeId i) {
     // Nothing locally recoverable: blank follower, leader re-streams all.
     cluster_.reset_applied(i, {});
     carried_stats_[i] = {};
-    if (dm_.has_value() &&
-        (rec.meta_ok || !rec.checkpoints.empty() || !rec.wal.empty())) {
-      dm_->recovery_none->inc();
+    if (rec.meta_ok || !rec.checkpoints.empty() || !rec.wal.empty()) {
+      dm_.recovery_none->inc();
     }
     return;
   }
@@ -628,28 +589,26 @@ void ReplicatedDb::durable_restart(NodeId i) {
     ++stats_.checkpoint_restores;
     rm_.checkpoint_restores->inc();
   }
-  if (dm_.has_value()) {
-    if (chosen != nullptr && replayed > 0) {
-      dm_->recovery_checkpoint_wal->inc();
-    } else if (chosen != nullptr) {
-      dm_->recovery_checkpoint->inc();
-    } else {
-      dm_->recovery_wal->inc();
-    }
+  if (chosen != nullptr && replayed > 0) {
+    dm_.recovery_checkpoint_wal->inc();
+  } else if (chosen != nullptr) {
+    dm_.recovery_checkpoint->inc();
+  } else {
+    dm_.recovery_wal->inc();
   }
   if (final_seq > base || chosen == nullptr) {
     // The rejoin boundary is above any stored checkpoint (WAL replay moved
     // it). Snapshot it now: if this node later leads and compacts here, the
     // install handler must find an image at exactly this seq.
     Checkpoint cp;
-    cp.batch_seq = final_seq;
+    cp.seq = final_seq;
     cp.term = final_term;
     cp.state_hash = replicas_[i]->state_hash();
     cp.image = images_[i].build(replicas_[i]->store());
     cp.command_prefix = prefix;
     cp.engine_stats = replica_engine_stats(i);
-    dur_[i]->persist_checkpoint(to_durable(cp));
-    cp_stores_[i].add(std::move(cp), opts_.max_checkpoints);
+    dur_[i]->persist_checkpoint(cp);
+    cp_stores_[i].add(std::move(cp), kMaxCheckpoints);
     ++stats_.checkpoints_taken;
     rm_.checkpoints->inc();
   }
@@ -657,12 +616,24 @@ void ReplicatedDb::durable_restart(NodeId i) {
 
 // --- leader-driven state transfer -------------------------------------------
 
+bool ReplicatedDb::can_serve_install(NodeId leader, LogIndex upto) {
+  // The leader serves an install from its checkpoint store, which may have
+  // evicted `upto` while the message was in flight: a commit-index jump
+  // applies (and checkpoints, and compacts) many batches at once.
+  if (cluster_.applied(leader).size() >= upto &&
+      cp_stores_[leader].at(upto) != nullptr) {
+    return true;
+  }
+  ++stats_.installs_declined;
+  return false;
+}
+
 void ReplicatedDb::on_install(NodeId follower, NodeId leader, LogIndex upto) {
   PROG_CHECK_MSG(replicas_[follower] != nullptr,
                  "InstallSnapshot delivered to a crashed replica");
-  const Checkpoint* cp = cp_stores_[leader].latest_at_or_before(upto);
-  PROG_CHECK_MSG(cp != nullptr && cp->batch_seq == upto,
-                 "leader compacted its log past its own checkpoint store");
+  const Checkpoint* cp = cp_stores_[leader].at(upto);
+  PROG_CHECK_MSG(cp != nullptr,
+                 "InstallSnapshot the leader can no longer serve");
   // Rebuild rather than patch: the follower's engine counters cover whatever
   // prefix it executed locally, which the transferred image supersedes. A
   // fresh engine plus the checkpoint-carried baseline keeps
@@ -673,22 +644,18 @@ void ReplicatedDb::on_install(NodeId follower, NodeId leader, LogIndex upto) {
   carried_stats_[follower] = cp->engine_stats;
   // The transferred image is also a valid local checkpoint for the follower
   // (determinism: identical bytes regardless of which replica produced it).
-  cp_stores_[follower].add(*cp, opts_.max_checkpoints);
+  cp_stores_[follower].add(*cp, kMaxCheckpoints);
   // The follower's log below `upto` is gone; pin the image that covers it.
-  cp_stores_[follower].set_anchor(static_cast<std::int64_t>(cp->batch_seq));
-  if (dur_[follower] != nullptr) {
-    // Persist the transferred image and rotate the WAL to its boundary, so
-    // a crash right after the install recovers locally instead of repeating
-    // the transfer. The commit queue must quiesce first (the rotation pulls
-    // the WAL tail out from under it) and restarts at the transferred
-    // boundary: the checkpoint makes everything below `upto` durable.
-    quiesce_queue(follower, upto);
-    dur_[follower]->persist_checkpoint(to_durable(*cp));
-    if (queues_[follower] != nullptr) {
-      queues_[follower].reset();  // graceful: already drained
-      make_commit_queue(follower);
-    }
-  }
+  cp_stores_[follower].set_anchor(static_cast<std::int64_t>(upto));
+  // Persist the transferred image and rotate the WAL to its boundary, so a
+  // crash right after the install recovers locally instead of repeating the
+  // transfer. The commit queue must quiesce first (the rotation pulls the
+  // WAL tail out from under it) and restarts at the transferred boundary:
+  // the checkpoint makes everything up to `upto` durable.
+  quiesce_queue(follower, upto);
+  dur_[follower]->persist_checkpoint(*cp);
+  queues_[follower].reset();  // graceful: already drained
+  make_commit_queue(follower);
   quarantined_[follower] = 0;
   ++stats_.snapshot_installs;
   rm_.snapshot_installs->inc();
@@ -705,15 +672,15 @@ bool ReplicatedDb::resync(NodeId i) {
 
   rebuild_replica(i);
 
-  // Newest checkpoint whose (batch_seq, hash) the recorded history vouches
+  // Newest checkpoint whose (seq, hash) the recorded history vouches
   // for. A diverged replica's later checkpoints carry corrupt images — the
   // hash cross-check rejects them deterministically.
   const Checkpoint* trusted = nullptr;
   const auto& entries = cp_stores_[i].entries();
   for (auto it = entries.rbegin(); it != entries.rend(); ++it) {
     const Checkpoint& cp = it->second;
-    if (cp.batch_seq > upto) continue;
-    const auto& rec = recorded_hash(cp.batch_seq);
+    if (cp.seq > upto) continue;
+    const auto& rec = recorded_hash(cp.seq);
     if (rec.has_value() && *rec == cp.state_hash) {
       trusted = &cp;
       break;
@@ -728,7 +695,7 @@ bool ReplicatedDb::resync(NodeId i) {
   if (trusted != nullptr) {
     replicas_[i]->restore_state(*trusted->image);
     carried_stats_[i] = trusted->engine_stats;
-    start = trusted->batch_seq;
+    start = trusted->seq;
     ++stats_.checkpoint_restores;
     rm_.checkpoint_restores->inc();
   } else {
@@ -739,8 +706,8 @@ bool ReplicatedDb::resync(NodeId i) {
   for (LogIndex k = start; k < upto; ++k) {
     auto it = batch_pool_.find(cmds[static_cast<std::size_t>(k)]);
     if (it == batch_pool_.end()) {
-      // A cold-started durable cluster knows the pre-checkpoint prefix only
-      // as state, not as pool entries — nothing local can re-execute it.
+      // A cold-started cluster knows the pre-checkpoint prefix only as
+      // state, not as pool entries — nothing local can re-execute it.
       // Wipe and let the leader re-stream the whole prefix (InstallSnapshot
       // clears the quarantine once the transferred state arrives).
       rebuild_replica(i);

@@ -9,16 +9,21 @@
 //
 //   - deterministic checkpoints: every `checkpoint_interval` applied batches
 //     a replica serializes its visible state into a canonical image keyed by
-//     (batch_seq, state_hash) — byte-identical across replicas by
+//     (seq, state_hash) — byte-identical across replicas by
 //     construction — and optionally compacts its Raft log up to the
 //     checkpoint boundary;
-//   - crash/restart recovery: crash_replica() models full in-memory state
-//     loss (the checkpoint store survives, like a disk directory);
-//     restart_replica() restores the newest local checkpoint, rejoins the
-//     Raft group at that boundary, and replays the committed batch suffix
-//     from the sequencer log — or, when the leader has compacted past the
-//     replica's restore point, receives an InstallSnapshot-style state
-//     transfer from the leader's checkpoint store;
+//   - durability: every replica persists through a DurableReplicaStorage
+//     directory on a Vfs (a batch WAL with group commit, atomic checkpoint
+//     slots, Raft term/vote); without a caller-supplied Vfs the cluster
+//     owns a fault-free in-memory one;
+//   - crash/restart recovery: crash_replica() kills the process (database,
+//     Raft state and checkpoint store are gone; the directory survives);
+//     restart_replica() restores the newest checkpoint on disk, replays the
+//     WAL suffix above it with per-batch hash checks, rejoins the Raft
+//     group at that boundary, and receives the rest of the committed
+//     prefix from the leader — by AppendEntries, or by an
+//     InstallSnapshot-style state transfer from the leader's checkpoint
+//     store when the leader has compacted past the replica's boundary;
 //   - divergence detection: replicas piggyback a per-batch state hash; a
 //     replica whose hash disagrees with the recorded history is
 //     deterministically quarantined and re-synced from a checkpoint whose
@@ -39,6 +44,7 @@
 #include "consensus/raft.hpp"
 #include "db/database.hpp"
 #include "dur/commit_queue.hpp"
+#include "dur/fault_vfs.hpp"
 #include "dur/storage.hpp"
 #include "obs/metrics.hpp"
 #include "obs/replica_metrics.hpp"
@@ -49,38 +55,26 @@ namespace prog::consensus {
 
 struct RecoveryOptions {
   /// Applied batches between checkpoints; 0 disables checkpointing (a
-  /// restarted replica then rebuilds by full replay).
+  /// restarted replica then replays its whole WAL).
   unsigned checkpoint_interval = 4;
-  /// Checkpoints retained per replica (oldest evicted first).
-  std::size_t max_checkpoints = 4;
   /// Compact each replica's Raft log up to its newest checkpoint boundary
   /// (minus log_keep_tail); lagging peers then catch up via InstallSnapshot.
   bool compact_logs = true;
   /// Entries to keep above the compaction point (0 = compact to boundary).
   LogIndex log_keep_tail = 0;
-  /// Cross-check every replica's per-batch state hash against the recorded
-  /// history; mismatch quarantines + re-syncs the replica.
-  bool divergence_check = true;
-  /// submit_with_retry backoff: first wait, doubling up to the cap.
-  SimTime retry_step_ms = 25;
-  SimTime retry_max_step_ms = 400;
   /// Overall submit_with_retry deadline: the effective budget is
   /// min(caller's max_wait_ms, this), so a client facing a permanently
   /// leaderless cluster times out in bounded virtual time no matter what
   /// the call site passed. Expiries count as submit_timeouts.
   SimTime submit_deadline_ms = 2000;
 
-  // --- durability (nullptr = the pre-durability in-memory model) -----------
-  /// When set, every replica persists through a DurableReplicaStorage
-  /// rooted at `<dur_dir>/r<i>` on this Vfs: group-committed batch WAL,
-  /// atomic checkpoint slots, raft term/vote metadata. Crash/restart then
-  /// recovers from disk (checkpoint + WAL suffix replay, hash-verified)
-  /// before falling back to leader catch-up, and construction itself
-  /// cold-starts from whatever the directory holds. The Vfs must outlive
-  /// the ReplicatedDb.
+  /// Where every replica persists: a DurableReplicaStorage rooted at
+  /// `<dur_dir>/r<i>` on this Vfs. Construction cold-starts from whatever
+  /// the directories hold. nullptr = the ReplicatedDb owns a fault-free
+  /// in-memory FaultVfs seeded from the cluster seed. A caller-supplied Vfs
+  /// must outlive the ReplicatedDb.
   dur::Vfs* vfs = nullptr;
   std::string dur_dir = "dur";
-  dur::StorageOptions storage{};
 };
 
 struct RecoveryStats {
@@ -89,7 +83,12 @@ struct RecoveryStats {
   std::uint64_t checkpoint_restores = 0;
   /// Leader-driven InstallSnapshot state transfers accepted.
   std::uint64_t snapshot_installs = 0;
-  /// Restarts/re-syncs that had to replay from the initial state.
+  /// InstallSnapshots declined on delivery because the leader's checkpoint
+  /// store no longer held that boundary (the leader then resends its
+  /// current one).
+  std::uint64_t installs_declined = 0;
+  /// Restarts that recovered nothing from local disk, and re-syncs that
+  /// had to replay from the initial state.
   std::uint64_t full_rebuilds = 0;
   std::uint64_t divergences_detected = 0;
   std::uint64_t quarantines = 0;
@@ -111,6 +110,9 @@ struct RecoveryStats {
   std::uint64_t submit_acked_durable = 0;
   /// Checkpoint publications that waited on the async fsync watermark.
   std::uint64_t pipeline_fsync_stalls = 0;
+  /// Empty batches proposed by newly elected leaders to commit the
+  /// earlier-term entries their logs end with.
+  std::uint64_t leader_noops = 0;
 };
 
 class ReplicatedDb {
@@ -129,8 +131,10 @@ class ReplicatedDb {
   bool submit_batch(std::vector<sched::TxRequest> batch);
 
   /// submit_batch with bounded deterministic backoff: on "no leader",
-  /// advances virtual time by retry_step_ms (doubling, capped) and retries
-  /// until the submit succeeds or `max_wait_ms` of virtual time is spent.
+  /// advances virtual time (25 ms, doubling up to 400 ms) and retries until
+  /// the submit succeeds or `max_wait_ms` of virtual time is spent. After
+  /// acceptance it waits, within the same budget, for a quorum of replicas
+  /// to make the batch durable.
   bool submit_with_retry(std::vector<sched::TxRequest> batch,
                          SimTime max_wait_ms = 2000);
 
@@ -162,13 +166,14 @@ class ReplicatedDb {
   }
 
   // --- fault injection / recovery ------------------------------------------
-  /// Full in-memory loss: the replica's database AND its Raft state are
-  /// gone; only the checkpoint store (durable by construction) survives.
-  /// Contrast with raft().crash(i), which models a process pause.
+  /// Process death: the replica's database, Raft state, checkpoint store
+  /// and unsynced commit-queue records are gone; only its directory on the
+  /// Vfs survives. Contrast with raft().crash(i), a process pause.
   void crash_replica(NodeId i);
-  /// Rebuilds the replica (setup + newest local checkpoint, if any) and
-  /// rejoins the Raft group at the restored boundary; the committed suffix
-  /// streams back in from the leader (AppendEntries or InstallSnapshot).
+  /// Recovers the replica from its directory (newest checkpoint + WAL
+  /// suffix) and rejoins the Raft group at the recovered boundary; the
+  /// rest of the committed prefix streams in from the leader (AppendEntries
+  /// or InstallSnapshot).
   void restart_replica(NodeId i);
   bool replica_down(NodeId i) const { return replicas_[i] == nullptr; }
   bool quarantined(NodeId i) const { return quarantined_[i] != 0; }
@@ -182,24 +187,20 @@ class ReplicatedDb {
   /// prefix must hash identically.
   std::uint64_t witness_state_hash() const;
 
-  /// True when replicas persist through a Vfs (RecoveryOptions::vfs).
-  bool durable() const noexcept { return opts_.vfs != nullptr; }
-  /// Durability metric handles; only populated when durable().
-  const dur::DurMetrics* dur_metrics() const noexcept {
-    return dm_.has_value() ? &*dm_ : nullptr;
-  }
+  /// Durability metric handles (never null).
+  const dur::DurMetrics* dur_metrics() const noexcept { return &dm_; }
 
   /// Replica `i`'s durable watermark: the highest batch sequence known to
   /// have passed a WAL group-commit barrier there. With the async commit
   /// queue (pipeline_depth > 0) this is the queue's watermark; with inline
-  /// appends it tracks apply directly. 0 when not durable.
+  /// appends it tracks apply directly.
   std::uint64_t durable_watermark(unsigned i) const noexcept {
     if (queues_[i] != nullptr) return queues_[i]->watermark();
     return durable_mark_[i];
   }
   /// True when a majority of replicas have durable_watermark() >= idx.
   bool durable_quorum_at(LogIndex idx) const noexcept;
-  /// Per-replica async commit queue; nullptr when not durable or depth 0.
+  /// Per-replica async commit queue; nullptr at pipeline depth 0.
   /// Exposed for the chaos harness (pause/resume around an injected kill).
   dur::DurableCommitQueue* commit_queue(unsigned i) noexcept {
     return queues_[i].get();
@@ -211,7 +212,8 @@ class ReplicatedDb {
   const CheckpointStore& checkpoints(unsigned i) const {
     return cp_stores_[i];
   }
-  /// Batches accepted by submit so far (committed or still in flight).
+  /// Commands proposed so far, committed or still in flight: the batches
+  /// submit accepted plus the no-ops new leaders proposed.
   std::size_t batches_submitted() const noexcept {
     return static_cast<std::size_t>(next_cmd_);
   }
@@ -260,7 +262,15 @@ class ReplicatedDb {
     return n != 0 && obs::tracing::enabled() && seq % n == 0;
   }
 
+  /// Puts `batch` in the pool under the next command id and hands that id
+  /// to the leader. On refusal the batch is moved back into `batch`.
+  bool propose(std::vector<sched::TxRequest>& batch);
+  /// The no-op a newly elected leader proposes: an empty batch.
+  Command propose_noop();
   void apply(NodeId node, LogIndex idx, Command cmd);
+  /// Whether `leader` can still serve an InstallSnapshot covering 1..upto;
+  /// counts a decline when it cannot.
+  bool can_serve_install(NodeId leader, LogIndex upto);
   void on_install(NodeId follower, NodeId leader, LogIndex upto);
   void take_checkpoint(NodeId node, LogIndex idx);
   void check_divergence(NodeId node, LogIndex idx, std::uint64_t hash);
@@ -277,11 +287,10 @@ class ReplicatedDb {
   /// recovered boundary. Falls back to leader catch-up for whatever the
   /// disk could not vouch for.
   void durable_restart(NodeId i);
-  /// (Re)creates replica `i`'s async commit queue seeded with the current
-  /// applied boundary as its watermark. No-op unless durable and
-  /// pipeline_depth > 0.
+  /// Resets replica `i`'s durable watermark to its applied boundary and, at
+  /// pipeline_depth > 0, (re)creates its async commit queue seeded with it.
   void make_commit_queue(NodeId i);
-  /// Durable-mode ack gate: after acceptance, drives virtual time (within
+  /// Durable ack gate: after acceptance, drives virtual time (within
   /// the remaining submit deadline) until a quorum of durable watermarks
   /// covers the accepted index, then counts the ack and emits kAckDurable.
   /// Never fails the submission.
@@ -315,18 +324,20 @@ class ReplicatedDb {
   /// update the counters).
   std::shared_ptr<obs::Registry> registry_;
   obs::ReplicaMetrics rm_;
-  /// Durability metric handles (populated only in durable mode).
-  std::optional<dur::DurMetrics> dm_;
-  /// Per-replica durable storage; empty slots when not durable. Declared
-  /// before cluster_: apply callbacks write through it.
+  dur::DurMetrics dm_;
+  /// The Vfs replicas persist to when RecoveryOptions::vfs is null. Declared
+  /// before dur_, which writes through it.
+  dur::FaultVfs own_vfs_;
+  /// Per-replica durable storage. Declared before cluster_: apply callbacks
+  /// write through it.
   std::vector<std::unique_ptr<dur::DurableReplicaStorage>> dur_;
   /// Per-replica async commit queues (stage D of the pipelined apply);
-  /// populated only when durable and pipeline_depth > 0. Declared after
-  /// dur_ (queue destructors drain into the storage) and before cluster_.
+  /// populated only at pipeline_depth > 0. Declared after dur_ (queue
+  /// destructors drain into the storage) and before cluster_.
   std::vector<std::unique_ptr<dur::DurableCommitQueue>> queues_;
-  /// Inline durable watermark per replica (durable mode at depth 0, where
-  /// append_batch fsyncs on the apply path): batch seq of the last inline
-  /// group commit. The commit queue supersedes it at depth > 0.
+  /// Inline durable watermark per replica (depth 0, where append_batch
+  /// fsyncs on the apply path): batch seq of the last inline group commit.
+  /// The commit queue supersedes it at depth > 0.
   std::vector<std::uint64_t> durable_mark_;
   /// Last observed queue_full_waits per replica (for counter deltas).
   std::vector<std::uint64_t> qfw_seen_;

@@ -18,9 +18,10 @@
 //   <raw canonical state image (store::serialize_visible)>
 //   crc <8 lowercase hex digits of crc32c over everything above>
 //
-// The header fields mirror consensus::Checkpoint exactly; the decoupled
-// CheckpointImage struct exists so the durability layer does not depend on
-// the consensus module (which sits above it).
+// The durability layer owns the checkpoint struct: the consensus layer,
+// which sits above it, uses it as its in-memory checkpoint too
+// (consensus::Checkpoint), so a checkpoint is persisted, recovered and
+// served to followers without conversion.
 #pragma once
 
 #include <cstdint>
@@ -33,17 +34,29 @@
 
 namespace prog::dur {
 
-/// consensus::Checkpoint, flattened for persistence.
+/// One replica's state after a prefix of the agreed batch sequence, keyed by
+/// (seq, state_hash).
 struct CheckpointImage {
+  /// Number of committed batches folded into the image (= the log index of
+  /// the last batch included).
   std::uint64_t seq = 0;
+  /// Raft term of entry `seq`: lets a restarted node rejoin at this
+  /// boundary as if it had installed a snapshot there.
   std::uint64_t term = 0;
+  /// state_hash() of the image; with seq, the checkpoint's identity.
   std::uint64_t state_hash = 0;
-  /// Commands (batch ids) applied to reach this state, in order.
+  /// Commands (batch ids) applied to reach this state, in order: the
+  /// applied record a rejoining node fast-forwards to.
   std::vector<std::uint64_t> command_prefix;
-  /// Cumulative deterministic engine counters at this boundary.
+  /// Cumulative deterministic engine counters at this boundary. Restoring a
+  /// checkpoint resets the replica's stats baseline to this value, so a
+  /// batch replayed after a restore is counted exactly once and the
+  /// deterministic-counter snapshot (DESIGN.md §9) stays byte-identical to
+  /// a replica that never crashed.
   sched::EngineStats engine_stats{};
-  /// Canonical serialized visible state (store::serialize_visible), shared
-  /// with the in-memory checkpoint and the image builder, never copied.
+  /// Canonical serialized visible state (store::serialize_visible). Shared:
+  /// the replica's image builder, its checkpoint store and every follower
+  /// it was installed on point at one buffer.
   std::shared_ptr<const std::string> image;
 };
 

@@ -88,9 +88,8 @@ DurMetrics DurMetrics::create(obs::Registry& reg) {
 }
 
 DurableReplicaStorage::DurableReplicaStorage(Vfs& vfs, std::string dir,
-                                             StorageOptions opts,
                                              DurMetrics* metrics)
-    : vfs_(vfs), dir_(std::move(dir)), opts_(opts), m_(metrics) {
+    : vfs_(vfs), dir_(std::move(dir)), m_(metrics) {
   vfs_.mkdirs(dir_);
 }
 
@@ -124,10 +123,8 @@ void DurableReplicaStorage::append_batch(const WalRecord& rec) {
     Stopwatch sw;
     pre = tail_->size();
     const std::size_t n = tail_->append(rec);
-    if (opts_.wal_fsync) {
-      tail_->sync();
-      if (m_ != nullptr) m_->wal_fsyncs->inc();
-    }
+    tail_->sync();
+    if (m_ != nullptr) m_->wal_fsyncs->inc();
     if (traced) {
       const obs::tracing::TraceContext& tctx = obs::tracing::current();
       obs::tracing::SpanEvent ev;
@@ -257,7 +254,7 @@ void DurableReplicaStorage::prune(std::uint64_t newest_ckpt_seq) {
   std::sort(slots.begin(), slots.end());
   std::sort(wal_starts.begin(), wal_starts.end());
 
-  const std::size_t keep = std::max<std::size_t>(opts_.checkpoint_slots, 1);
+  const std::size_t keep = kCheckpointSlots;
   std::uint64_t oldest_kept = newest_ckpt_seq;
   if (slots.size() > keep) {
     for (std::size_t i = 0; i < slots.size() - keep; ++i) {

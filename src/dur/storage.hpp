@@ -60,25 +60,19 @@ struct DurMetrics {
   static DurMetrics create(obs::Registry& reg);
 };
 
-struct StorageOptions {
-  /// Checkpoint slots retained on disk (>= 1). Two slots survive one
-  /// corrupt/torn newest image.
-  std::size_t checkpoint_slots = 2;
-  /// fsync the WAL after every appended batch (group commit). Off trades
-  /// durability of the last batches for speed — recovery still works, it
-  /// just finds a shorter WAL.
-  bool wal_fsync = true;
-};
-
 class DurableReplicaStorage {
  public:
+  /// Checkpoint slots retained on disk: two survive one corrupt or torn
+  /// newest image.
+  static constexpr std::size_t kCheckpointSlots = 2;
+
   /// `dir` is created if missing. `metrics` may be nullptr (benches).
-  DurableReplicaStorage(Vfs& vfs, std::string dir, StorageOptions opts = {},
+  DurableReplicaStorage(Vfs& vfs, std::string dir,
                         DurMetrics* metrics = nullptr);
 
   // --- write path ----------------------------------------------------------
-  /// Appends one agreed batch and (optionally) fsyncs — the group-commit
-  /// barrier. IoError from the Vfs is absorbed: the record is rolled back
+  /// Appends one agreed batch and fsyncs — the group-commit barrier.
+  /// IoError from the Vfs is absorbed: the record is rolled back
   /// (truncated) so the WAL stays frame-aligned, the io_errors counter
   /// ticks, and the batch is simply not durable here.
   void append_batch(const WalRecord& rec);
@@ -138,7 +132,6 @@ class DurableReplicaStorage {
 
   Vfs& vfs_;
   std::string dir_;
-  StorageOptions opts_;
   DurMetrics* m_;
   std::unique_ptr<WalWriter> tail_;
   std::uint64_t tail_start_ = 0;  ///< segment boundary of the open tail

@@ -17,6 +17,7 @@
 #include <memory>
 
 #include "consensus/chaos.hpp"
+#include "dur/fault_vfs.hpp"
 #include "lang/builder.hpp"
 #include "obs/tracing/tracing.hpp"
 #include "obs/tracing/validator.hpp"
@@ -104,6 +105,11 @@ TEST_P(ChaosSeedTest, TpccMixConverges) {
   EXPECT_FALSE(rep.counter_snapshot.empty()) << "seed " << seed;
   EXPECT_GT(rep.batches_applied, 0u) << "seed " << seed;
   EXPECT_LE(rep.batches_applied, rep.batches_submitted);
+  // Every crashed replica came back through its own directory: recovered
+  // from disk, or (nothing on disk yet) re-streamed from index 1.
+  EXPECT_GE(rep.recovery.durable_recoveries + rep.recovery.full_rebuilds,
+            rep.events.crashes)
+      << "seed " << seed;
 
   // The harness mirrors every injected fault into the chaos_* counter
   // families, so dashboards/tests can assert on telemetry alone.
@@ -151,6 +157,9 @@ TEST_P(ChaosSeedTest, CatalogMixConverges) {
   EXPECT_TRUE(rep.hashes_match) << "seed " << seed;
   EXPECT_TRUE(rep.counters_match) << "seed " << seed;
   EXPECT_GT(rep.batches_applied, 0u) << "seed " << seed;
+  EXPECT_GE(rep.recovery.durable_recoveries + rep.recovery.full_rebuilds,
+            rep.events.crashes)
+      << "seed " << seed;
 }
 
 INSTANTIATE_TEST_SUITE_P(FixedSeeds, ChaosSeedTest,
@@ -246,9 +255,10 @@ TEST(ChaosTest, CheckpointRestoreThenCompactedSuffixCatchUp) {
   EXPECT_EQ(rm.batch_lag->value(), 0);
 }
 
-/// Restart with checkpointing disabled: the replica must rebuild by full
-/// replay of the committed prefix (no checkpoint image to restore).
-TEST(ChaosTest, RestartWithoutCheckpointsFullyReplays) {
+/// Restart with checkpointing disabled: the replica recovers from its own
+/// WAL (no checkpoint to restore) and only the suffix it missed while down
+/// streams in from the leader.
+TEST(ChaosTest, RestartWithoutCheckpointsReplaysOwnWal) {
   RecoveryOptions rec;
   rec.checkpoint_interval = 0;  // no checkpoints
   rec.compact_logs = false;
@@ -263,20 +273,192 @@ TEST(ChaosTest, RestartWithoutCheckpointsFullyReplays) {
     ASSERT_TRUE(rdb.submit_with_retry(bump_batch(5, rng)));
     rdb.run_ms(100);
   }
+  const std::size_t before_crash = rdb.raft().applied(victim).size();
+  ASSERT_GE(before_crash, 4u);
   rdb.crash_replica(victim);
   for (int i = 0; i < 4; ++i) {
     ASSERT_TRUE(rdb.submit_with_retry(bump_batch(5, rng)));
     rdb.run_ms(100);
   }
   rdb.restart_replica(victim);
+  // Recovery alone (before any message) rejoins at the WAL's end.
+  EXPECT_EQ(rdb.raft().applied(victim).size(), before_crash);
   rdb.run_ms(3000);
 
   ASSERT_TRUE(rdb.converged());
   const auto hashes = rdb.state_hashes();
   EXPECT_EQ(hashes[0], hashes[1]);
   EXPECT_EQ(hashes[1], hashes[2]);
-  EXPECT_GE(rdb.recovery_stats().full_rebuilds, 1u);
-  EXPECT_EQ(rdb.recovery_stats().checkpoints_taken, 0u);
+  const RecoveryStats& st = rdb.recovery_stats();
+  EXPECT_EQ(st.durable_recoveries, 1u);
+  EXPECT_EQ(st.wal_records_replayed, before_crash);
+  EXPECT_EQ(st.checkpoint_restores, 0u);
+  EXPECT_EQ(st.full_rebuilds, 0u);
+  EXPECT_EQ(st.snapshot_installs, 0u);
+  // The one checkpoint is the rejoin image recovery writes at the WAL's end
+  // (the boundary this node can serve InstallSnapshot from).
+  EXPECT_EQ(st.checkpoints_taken, 1u);
+}
+
+/// Restart after the replica's directory is lost: nothing local survives, so
+/// the replica rejoins blank and the leader re-streams the committed prefix
+/// from index 1 (a full rebuild by replay).
+TEST(ChaosTest, RestartWithoutCheckpointsFullyReplays) {
+  dur::FaultVfs vfs(4242);
+  RecoveryOptions rec;
+  rec.checkpoint_interval = 0;  // no checkpoints
+  rec.compact_logs = false;
+  rec.vfs = &vfs;
+  ReplicatedDb rdb(3, 4242, bump_setup(), small_cfg(), {}, rec);
+  rdb.run_ms(1000);
+  const int leader = rdb.raft().leader();
+  ASSERT_GE(leader, 0);
+  const NodeId victim = leader == 0 ? 1 : 0;
+
+  Rng rng(5);
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(rdb.submit_with_retry(bump_batch(5, rng)));
+    rdb.run_ms(100);
+  }
+  rdb.crash_replica(victim);
+  const std::string dir = rec.dur_dir + "/r" + std::to_string(victim);
+  const std::vector<std::string> files = vfs.list(dir);
+  ASSERT_FALSE(files.empty());
+  for (const std::string& name : files) vfs.remove(dir + "/" + name);
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(rdb.submit_with_retry(bump_batch(5, rng)));
+    rdb.run_ms(100);
+  }
+  rdb.restart_replica(victim);
+  EXPECT_TRUE(rdb.raft().applied(victim).empty());
+  rdb.run_ms(3000);
+
+  ASSERT_TRUE(rdb.converged());
+  EXPECT_GE(rdb.raft().applied(victim).size(), 8u);
+  const auto hashes = rdb.state_hashes();
+  EXPECT_EQ(hashes[0], hashes[1]);
+  EXPECT_EQ(hashes[1], hashes[2]);
+  const RecoveryStats& st = rdb.recovery_stats();
+  EXPECT_GE(st.full_rebuilds, 1u);
+  EXPECT_EQ(st.durable_recoveries, 0u);
+  EXPECT_EQ(st.snapshot_installs, 0u);  // AppendEntries from index 1
+  EXPECT_EQ(st.checkpoints_taken, 0u);
+  EXPECT_EQ(rdb.replica_metrics().full_rebuilds->value(), st.full_rebuilds);
+}
+
+/// An InstallSnapshot can outlive the boundary it names: the leader applies
+/// a backlog at once when a commit-index jump lands, checkpointing and
+/// compacting past (and evicting) the boundary while the message is in
+/// flight. The follower must decline it, and the leader must resend its
+/// current boundary. Message delays are random, so the race is swept over
+/// fixed seeds; each run is a pure function of its seed.
+TEST(ChaosTest, StaleInstallSnapshotIsDeclinedAndResent) {
+  std::uint64_t declined = 0;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    RecoveryOptions rec;
+    rec.checkpoint_interval = 1;
+    ReplicatedDb rdb(3, seed, bump_setup(), small_cfg(), {}, rec);
+    rdb.run_ms(1000);
+    const int leader = rdb.raft().leader();
+    ASSERT_GE(leader, 0);
+    const NodeId lid = static_cast<NodeId>(leader);
+    const NodeId lagger = (lid + 1) % 3;
+    const NodeId acker = (lid + 2) % 3;
+
+    // The lagger misses six batches, which the leader compacts away.
+    Rng rng(seed);
+    rdb.raft().crash(lagger);
+    for (int i = 0; i < 6; ++i) {
+      ASSERT_TRUE(rdb.submit_with_retry(bump_batch(3, rng)));
+      rdb.run_ms(20);
+    }
+    ASSERT_GE(rdb.raft().node(lid).snapshot_index(), 6u);
+    // A backlog the leader cannot commit while the acker is paused.
+    rdb.raft().crash(acker);
+    for (int i = 0; i < 8; ++i) {
+      ASSERT_TRUE(rdb.submit_batch(bump_batch(3, rng)));
+    }
+    rdb.run_ms(10);  // what those submits sent dies at the paused nodes
+    // One heartbeat then carries both the install to the lagger and the
+    // backlog to the acker; the acker's reply commits all eight batches.
+    rdb.raft().restart(lagger);
+    rdb.raft().restart(acker);
+    rdb.run_ms(2000);
+
+    ASSERT_TRUE(rdb.converged()) << "seed " << seed;
+    const auto hashes = rdb.state_hashes();
+    EXPECT_EQ(hashes[0], hashes[1]) << "seed " << seed;
+    EXPECT_EQ(hashes[1], hashes[2]) << "seed " << seed;
+    EXPECT_EQ(rdb.raft().applied(0).size(), 14u) << "seed " << seed;
+    EXPECT_GE(rdb.recovery_stats().snapshot_installs, 1u) << "seed " << seed;
+    declined += rdb.recovery_stats().installs_declined;
+  }
+  EXPECT_GE(declined, 1u);  // the race happened at least once in the sweep
+}
+
+/// A new leader whose log ends in an earlier-term entry above its commit
+/// index may not commit it by counting replicas (Raft §5.4.2). It proposes
+/// an empty batch of its own term, which commits both; without it the entry
+/// would wait for the next client submit, and the old leader (which already
+/// applied it) would never converge with the rest.
+TEST(ChaosTest, NewLeaderCommitsEarlierTermTailWithNoop) {
+  RecoveryOptions rec;
+  rec.checkpoint_interval = 2;
+  ReplicatedDb rdb(3, 606, bump_setup(), small_cfg(), {}, rec);
+  rdb.run_ms(1000);
+  const int leader = rdb.raft().leader();
+  ASSERT_GE(leader, 0);
+  const NodeId old = static_cast<NodeId>(leader);
+  const NodeId f1 = (old + 1) % 3;
+  const NodeId f2 = (old + 2) % 3;
+
+  Rng rng(21);
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(rdb.submit_with_retry(bump_batch(4, rng)));
+    rdb.run_ms(100);
+  }
+  // Pause the leader right after it commits batch 4, before any heartbeat
+  // tells the followers.
+  ASSERT_TRUE(rdb.submit_batch(bump_batch(4, rng)));
+  for (int ms = 0; ms < 40 && rdb.raft().node(old).commit_index() < 4; ++ms) {
+    rdb.run_ms(1);
+  }
+  ASSERT_EQ(rdb.raft().node(old).commit_index(), 4u);
+  ASSERT_EQ(rdb.raft().node(f1).commit_index(), 3u);
+  ASSERT_EQ(rdb.raft().node(f2).commit_index(), 3u);
+  rdb.raft().crash(old);
+  rdb.run_ms(2000);  // the followers elect a leader among themselves
+
+  const int next = rdb.raft().leader();
+  ASSERT_GE(next, 0);
+  ASSERT_NE(static_cast<NodeId>(next), old);
+  EXPECT_GE(rdb.recovery_stats().leader_noops, 1u);
+  // Batch 4 and the no-op committed with no client submit.
+  EXPECT_EQ(rdb.raft().node(static_cast<NodeId>(next)).commit_index(), 5u);
+  EXPECT_EQ(rdb.raft().applied(f1).size(), 5u);
+  EXPECT_EQ(rdb.raft().applied(f2).size(), 5u);
+
+  rdb.raft().restart(old);
+  rdb.run_ms(2000);
+  ASSERT_TRUE(rdb.converged());
+  // The empty batch executes identically everywhere, counters included, and
+  // a never-crashed witness replays it to the same state.
+  const auto hashes = rdb.state_hashes();
+  EXPECT_EQ(hashes[0], hashes[1]);
+  EXPECT_EQ(hashes[1], hashes[2]);
+  EXPECT_EQ(rdb.witness_state_hash(), hashes[0]);
+  EXPECT_EQ(rdb.deterministic_counter_snapshot(f1),
+            rdb.deterministic_counter_snapshot(old));
+
+  // The no-op is in the WAL like any batch: a follower that crashes now
+  // replays it from disk.
+  rdb.crash_replica(f1);
+  rdb.restart_replica(f1);
+  EXPECT_EQ(rdb.raft().applied(f1).size(), 5u);
+  rdb.run_ms(1000);
+  ASSERT_TRUE(rdb.converged());
+  EXPECT_EQ(rdb.state_hashes()[f1], hashes[0]);
+  EXPECT_EQ(rdb.recovery_stats().durable_recoveries, 1u);
 }
 
 /// Injected divergence: corrupt one follower's visible state behind the

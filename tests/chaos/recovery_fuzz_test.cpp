@@ -375,7 +375,7 @@ TEST(RecoveryFuzzTest, CheckpointAnchorSurvivesRetention) {
   CheckpointStore store;
   auto mk = [](LogIndex seq) {
     Checkpoint cp;
-    cp.batch_seq = seq;
+    cp.seq = seq;
     cp.state_hash = 0x1000 + seq;
     return cp;
   };
@@ -389,7 +389,7 @@ TEST(RecoveryFuzzTest, CheckpointAnchorSurvivesRetention) {
   // ...while ordinary retention still applied around it (anchor + newest 2).
   EXPECT_LE(store.size(), 3u);
   EXPECT_NE(store.latest(), nullptr);
-  EXPECT_EQ(store.latest()->batch_seq, 20u);
+  EXPECT_EQ(store.latest()->seq, 20u);
   EXPECT_EQ(store.at(2), nullptr);  // non-anchor oldies still pruned
 
   // Moving the anchor releases the old one to normal retention.

@@ -429,7 +429,7 @@ TEST(StorageTest, WriteRecoverRoundTrip) {
 
 TEST(StorageTest, RetentionKeepsSlotsAndCoveringSegments) {
   FaultVfs vfs(31);
-  DurableReplicaStorage st(vfs, "r0", {/*checkpoint_slots=*/2});
+  DurableReplicaStorage st(vfs, "r0");
   std::uint64_t s = 1;
   for (std::uint64_t ck = 2; ck <= 8; ck += 2) {
     for (; s <= ck; ++s) st.append_batch(sample_record(s));
